@@ -30,10 +30,9 @@ from .core import (
     NormalizedSeifertParams,
     SeifertParams,
     cf_sum,
-    validate,
 )
-from .normal_form import from_burton, normalize
-from .notation import ParseError, format_params, parse_params
+from .normal_form import normalize
+from .notation import format_params, parse_params
 
 CONVENTIONS = ("normalized", "burton")
 
@@ -180,8 +179,9 @@ class CensusFormatError(ValueError):
 
 
 def ingest_census(source: Iterable[str] | str) -> list[CensusRecord]:
-    """Parse a census table; burton-convention rows are converted to
-    canonical form on the way in."""
+    """Parse a census table.  Every row is normalized on the way in, which
+    converts burton-convention rows, so ``CensusRecord.params`` is the
+    canonical form under both conventions."""
     if isinstance(source, str):
         source = source.splitlines()
     records = []
@@ -195,13 +195,9 @@ def ingest_census(source: Iterable[str] | str) -> list[CensusRecord]:
                 lineno, f"expected 4 tab-separated fields, found {len(fields)}")
         name, params_text, complexity_text, convention = fields
         try:
-            params = parse_params(params_text)
-        except ParseError as exc:
+            params = normalize(parse_params(params_text))
+        except ValueError as exc:
             raise CensusFormatError(lineno, str(exc)) from exc
-        problems = validate(params)
-        if problems:
-            raise CensusFormatError(
-                lineno, "invalid parameters: " + "; ".join(problems))
         try:
             complexity = int(complexity_text)
         except ValueError:
@@ -214,8 +210,6 @@ def ingest_census(source: Iterable[str] | str) -> list[CensusRecord]:
                 lineno,
                 f"unknown convention {convention!r}; expected one of "
                 + ", ".join(CONVENTIONS))
-        if convention == "burton":
-            params = from_burton(params)
         records.append(CensusRecord(name, params, complexity, convention))
     return records
 

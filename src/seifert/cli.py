@@ -29,7 +29,7 @@ from .complexity import (
 )
 from .core import (
     ComplexityBound,
-    SeifertParams,
+    NormalizedSeifertParams,
     boundary_profile,
     euler_char_base,
     is_closed,
@@ -60,7 +60,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _CliError(EXIT_USAGE, f"{self.prog}: error: {message}")
 
 
-def _parse_valid(text: str) -> SeifertParams:
+def _parse_valid(text: str) -> NormalizedSeifertParams:
     try:
         params = parse_params(text)
     except ParseError as exc:
@@ -70,7 +70,7 @@ def _parse_valid(text: str) -> SeifertParams:
         raise _CliError(
             EXIT_INVALID,
             "invalid parameters:\n  " + "\n  ".join(problems))
-    return params
+    return normalize(params)
 
 
 def _bound_doc(bound: ComplexityBound) -> dict:
@@ -90,15 +90,14 @@ def _emit(args, doc: dict, lines: list[str]) -> None:
 
 
 def _cmd_normalize(args) -> int:
-    params = _parse_valid(args.params)
-    result = format_params(normalize(params))
+    result = format_params(_parse_valid(args.params))
     _emit(args, {"params": args.params, "normalized": result}, [result])
     return EXIT_OK
 
 
 def _cmd_eq(args) -> int:
-    left = normalize(_parse_valid(args.left))
-    right = normalize(_parse_valid(args.right))
+    left = _parse_valid(args.left)
+    right = _parse_valid(args.right)
     same = left == right
     doc = {
         "equivalent": same,
@@ -110,8 +109,7 @@ def _cmd_eq(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    params = _parse_valid(args.params)
-    P = normalize(params)
+    P = _parse_valid(args.params)
     bound = upper_bound(P)
     note = sharper_bound_note(P)
     doc = {"params": args.params, "normalized": format_params(P),
@@ -141,8 +139,7 @@ def _cmd_reverse(args) -> int:
 
 
 def _cmd_info(args) -> int:
-    params = _parse_valid(args.params)
-    P = normalize(params)
+    P = _parse_valid(args.params)
     profile = boundary_profile(P)
     orbifold = orbifold_summary(P)
     doc = {
@@ -175,9 +172,9 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    params = _parse_valid(args.params)
+    P = _parse_valid(args.params)
     try:
-        value = conjectured_complexity(params)
+        value = conjectured_complexity(P)
     except ValueError as exc:
         raise _CliError(EXIT_INVALID, str(exc)) from exc
     if value is None:
@@ -186,7 +183,7 @@ def _cmd_conjecture(args) -> int:
     else:
         note = None
     doc = {"params": args.params,
-           "normalized": format_params(normalize(params)),
+           "normalized": format_params(P),
            "conjectured_complexity": value, "note": note}
     _emit(args, doc, [note if value is None else f"conjectured complexity: {value}"])
     return EXIT_OK
@@ -214,8 +211,11 @@ def _cmd_census_gen(args) -> int:
                          f"{bound.label or '-'}")
         text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.write(text)
+        except OSError as exc:
+            raise _CliError(EXIT_USAGE, f"cannot write {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return EXIT_OK
@@ -240,10 +240,24 @@ def _report_doc(report: ComparisonReport) -> dict:
     }
 
 
+def _utf8_lines(handle):
+    # The file is read with errors="surrogateescape", which turns each
+    # undecodable byte into a lone surrogate; the first one is an error.
+    for lineno, line in enumerate(handle, start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00
+            raise CensusFormatError(
+                lineno, f"byte 0x{byte:02x} is not valid UTF-8") from None
+        yield line
+
+
 def _cmd_census_check(args) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8") as handle:
-            records = ingest_census(handle)
+        with open(args.file, "r", encoding="utf-8",
+                  errors="surrogateescape") as handle:
+            records = ingest_census(_utf8_lines(handle))
     except OSError as exc:
         raise _CliError(EXIT_USAGE, f"cannot read {args.file}: {exc}") from exc
     except CensusFormatError as exc:
@@ -267,6 +281,18 @@ def _cmd_census_check(args) -> int:
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
+def _budget(text: str) -> int:
+    """argparse type of --cmax: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="seifert",
@@ -274,8 +300,8 @@ def _build_parser() -> _ArgumentParser:
                     "of Seifert fibre spaces in bracket notation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
+    def add(name, func, help_text, subparsers=sub):
+        p = subparsers.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true",
                        help="emit a JSON document instead of text")
         p.set_defaults(func=func)
@@ -308,20 +334,16 @@ def _build_parser() -> _ArgumentParser:
     census_sub = census_parser.add_subparsers(dest="census_command",
                                               required=True)
 
-    p = census_sub.add_parser("gen",
-                              help="enumerate the closed non-orientable "
-                                   "census up to a bound budget")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--cmax", type=int, required=True)
+    p = add("gen", _cmd_census_gen,
+            "enumerate the closed non-orientable census up to a bound budget",
+            census_sub)
+    p.add_argument("--cmax", type=_budget, required=True)
     p.add_argument("--out", help="write to a file instead of stdout")
-    p.set_defaults(func=_cmd_census_gen)
 
-    p = census_sub.add_parser("check",
-                              help="compare the bound against a census TSV")
-    p.add_argument("--json", action="store_true")
+    p = add("check", _cmd_census_check,
+            "compare the bound against a census TSV", census_sub)
     p.add_argument("--file", required=True)
-    p.add_argument("--cmax", type=int, default=None)
-    p.set_defaults(func=_cmd_census_check)
+    p.add_argument("--cmax", type=_budget, default=None)
 
     return parser
 

@@ -123,10 +123,10 @@ class SeifertParams:
 
 
 class NormalizedSeifertParams(SeifertParams):
-    """A parameter set in canonical form.
+    """A parameter set in canonical form; the type is the proof.
 
-    Only the normalizer constructs these; see ``normal_form.normalize``
-    for the reduction and the exact range conditions the fields satisfy.
+    Only ``normal_form.normalize`` builds these, and it returns one
+    unchanged.  The moves rebuild a plain ``SeifertParams``.
     """
 
 

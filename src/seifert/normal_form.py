@@ -124,7 +124,12 @@ def normalize(params: SeifertParams) -> NormalizedSeifertParams:
     classes: composing the input with any finite word of twist,
     reflect_pair, mirror and (1, q) absorption/insertion moves does not
     change the output.
+
+    A ``NormalizedSeifertParams`` is canonical by construction and is
+    returned unchanged.
     """
+    if isinstance(params, NormalizedSeifertParams):
+        return params
     problems = validate(params)
     if problems:
         raise ValueError("invalid parameters: " + "; ".join(problems))
@@ -210,7 +215,7 @@ def from_burton(params: SeifertParams) -> NormalizedSeifertParams:
         {0; (eps,g,(0,0)); ( | ); (..., (p_r, p_r - q_r))}
 
     denotes the same space as {1; (eps,g,(0,0)); ( | ); (..., (p_r, q_r))}.
-    Normalization performs exactly that conversion (and is the identity
-    on rows already in canonical form).
+    This is ``normalize`` under its census name: normalization performs
+    exactly that conversion and returns canonical rows unchanged.
     """
     return normalize(params)

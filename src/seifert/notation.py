@@ -58,7 +58,7 @@ class _Scanner:
             self.pos += 1
         if self.pos == first_digit:
             raise ParseError(start, "expected an integer")
-        return int(self.text[start:self.pos])
+        return self._value(start)
 
     def natural(self) -> int:
         self._skip_ws()
@@ -67,7 +67,14 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError(start, "expected a non-negative integer")
-        return int(self.text[start:self.pos])
+        return self._value(start)
+
+    def _value(self, start: int) -> int:
+        # int() refuses more digits than sys.get_int_max_str_digits().
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            raise ParseError(start, "integer has too many digits") from None
 
     def epsilon(self) -> Epsilon:
         self._skip_ws()

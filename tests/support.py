@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import gcd
@@ -23,6 +24,12 @@ def cf_coefficients(p: int, q: int) -> list[int]:
         if rest == 0:
             return coeffs
         x = 1 / rest
+
+
+def int_digit_limit() -> int:
+    """The interpreter's cap on the digits int() reads from a string; 0
+    when there is none (before Python 3.11, or switched off)."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()
 
 
 def random_pair(rng: Random, p_max: int = 12) -> tuple[int, int]:
@@ -50,6 +57,14 @@ def random_valid(rng: Random) -> sf.SeifertParams:
     params = sf.SeifertParams(b, eps, g, t, k, hplus, kminus, pairs)
     assert not sf.validate(params)
     return params
+
+
+def plain(P: sf.SeifertParams) -> sf.SeifertParams:
+    """A plain SeifertParams with the fields of P.  normalize returns a
+    NormalizedSeifertParams as is, so idempotence checks go through this
+    to run the reduction itself."""
+    return sf.SeifertParams(P.b, P.epsilon, P.g, P.t, P.k,
+                            P.hplus, P.kminus, P.pairs)
 
 
 def random_move_word(rng: Random, params: sf.SeifertParams,

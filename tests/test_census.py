@@ -3,7 +3,7 @@ from math import gcd
 import pytest
 
 import seifert as sf
-from support import census_brute_force
+from support import census_brute_force, plain
 
 
 def P(text):
@@ -56,7 +56,7 @@ class TestEnumeration:
         for params, bound in sf.enumerate_nonorientable_closed(7):
             assert sf.is_closed(params)
             assert not sf.is_orientable(params)
-            assert sf.normalize(params) == params
+            assert sf.normalize(plain(params)) == params
             assert sf.upper_bound(params) == bound
 
     def test_no_duplicates_up_to_equivalence(self):
@@ -88,6 +88,14 @@ class TestIngest:
         assert [r.name for r in records] == ["RP2xS1", "S2~S1", "X"]
         assert records[2].params == P("{1;(n3,2,(0,0));(|);((3,1))}")
         assert records[0].complexity == 1
+
+    def test_params_are_canonical_under_both_conventions(self):
+        records = sf.ingest_census(
+            "a\t{3;(n1,1,(0,0));(|);((1,2))}\t0\tnormalized\n"
+            "b\t{0;(n3,2,(0,0));(|);((3,2))}\t10\tburton\n")
+        assert all(type(r.params) is sf.NormalizedSeifertParams
+                   for r in records)
+        assert records[0].params == P("{1;(n1,1,(0,0));(|);}")
 
     def test_empty_input(self):
         assert sf.ingest_census("") == []

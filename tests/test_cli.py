@@ -1,7 +1,10 @@
 import json
 
+import pytest
+
 import seifert as sf
 from seifert.cli import main
+from support import int_digit_limit
 
 
 def run(capsys, *argv):
@@ -147,3 +150,53 @@ class TestCensusCommands:
         code, out, _ = run(capsys, "census", "check", "--file", str(table))
         assert code == 0
         assert f"sharp: {len(entries)}" in out
+
+
+class TestHostileInput:
+    @pytest.mark.skipif(not int_digit_limit(), reason="int() reads any length")
+    def test_huge_integer_is_a_parse_error(self, capsys):
+        huge = "9" * (int_digit_limit() + 1)
+        code, out, err = run(capsys, "bound", "{%s;(n1,1,(0,0));(|);}" % huge)
+        assert code == 1 and out == ""
+        assert "parse error at position 1: integer has too many digits" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not int_digit_limit(), reason="int() reads any length")
+    def test_huge_integer_in_census_row(self, capsys, tmp_path):
+        huge = "9" * (int_digit_limit() + 1)
+        table = tmp_path / "table.tsv"
+        table.write_text("ok\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\n"
+                         "big\t{%s;(n1,1,(0,0));(|);}\t1\tburton\n" % huge)
+        code, _, err = run(capsys, "census", "check", "--file", str(table))
+        assert code == 2
+        assert "line 2: parse error at position 1" in err
+        assert "Traceback" not in err
+
+    def test_undecodable_byte_names_its_line(self, capsys, tmp_path):
+        table = tmp_path / "table.tsv"
+        table.write_bytes(b"# caf\xc3\xa9 is fine\n"
+                          b"ok\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\n"
+                          b"bad\t{0;(n1,1,(0,0));(|);}\t1\tnorm\xffalized\n")
+        code, out, err = run(capsys, "census", "check", "--file", str(table))
+        assert code == 2 and out == ""
+        assert "line 3: byte 0xff is not valid UTF-8" in err
+        assert "Traceback" not in err
+
+    def test_unwritable_out_is_one(self, capsys, tmp_path):
+        target = tmp_path / "absent-dir" / "census.tsv"
+        code, out, err = run(capsys, "census", "gen", "--cmax", "0",
+                             "--out", str(target))
+        assert code == 1 and out == ""
+        assert f"cannot write {target}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ("census", "gen", "--cmax", "-3"),
+        ("census", "check", "--file", "table.tsv", "--cmax", "-1"),
+        ("census", "gen", "--cmax", "ten"),
+    ])
+    def test_budget_must_be_a_non_negative_integer(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "argument --cmax: expected an integer >= 0" in err
+        assert "Traceback" not in err

@@ -3,7 +3,8 @@ from random import Random
 import pytest
 
 import seifert as sf
-from support import normal_form_violations, random_move_word, random_valid
+from support import (normal_form_violations, plain, random_move_word,
+                     random_valid)
 
 
 def P(text):
@@ -99,7 +100,24 @@ class TestNormalize:
                      "{0;(o,4,(1,1));(1|0);((3,1),(5,2))}",
                      "{1;(n1,1,(0,0));(|);}"):
             once = sf.normalize(P(text))
-            assert sf.normalize(once) == once
+            assert sf.normalize(plain(once)) == once
+
+    def test_canonical_input_is_returned_and_moves_are_plain(self):
+        # normalize may return a NormalizedSeifertParams as is only
+        # because no move hands one back.
+        rng = Random(4242)
+        for _ in range(300):
+            canonical = sf.normalize(random_valid(rng))
+            assert sf.normalize(canonical) is canonical
+            moved = [sf.insert_unit_pair(canonical, 0),
+                     sf.absorb_unit_pairs(canonical)]
+            if canonical.pairs:
+                moved.append(sf.twist(canonical, 1, 0))
+            if canonical.epsilon in sf.ORIENTABLE_AWAY_FROM_SE:
+                moved.append(sf.mirror(canonical))
+            elif canonical.pairs:
+                moved.append(sf.reflect_pair(canonical, 1))
+            assert all(type(m) is sf.SeifertParams for m in moved)
 
     def test_mirror_applied_when_b_too_negative(self):
         assert sf.normalize(P("{-3;(o1,0,(0,0));(|);((2,1),(3,1))}")) == \

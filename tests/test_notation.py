@@ -3,7 +3,7 @@ from random import Random
 import pytest
 
 import seifert as sf
-from support import PAPER_PARAM_STRINGS, random_valid
+from support import PAPER_PARAM_STRINGS, int_digit_limit, random_valid
 
 
 class TestParse:
@@ -49,6 +49,19 @@ class TestParse:
             sf.parse_params(text)
         assert "position" in str(err.value)
         assert err.value.pos >= 0
+
+    @pytest.mark.skipif(not int_digit_limit(), reason="int() reads any length")
+    @pytest.mark.parametrize("template,pos", [
+        ("{%s;(n1,1,(0,0));(|);}", 1),
+        ("{0;(n1,%s,(0,0));(|);}", 7),
+        ("{0;(n1,1,(0,0));(|);((3,-%s))}", 24),
+    ])
+    def test_too_many_digits_is_a_parse_error(self, template, pos):
+        huge = "9" * (int_digit_limit() + 1)
+        with pytest.raises(sf.ParseError) as err:
+            sf.parse_params(template % huge)
+        assert err.value.pos == pos
+        assert "too many digits" in str(err.value)
 
 
 class TestFormat:

@@ -121,17 +121,20 @@ def _closed_nonorientable_shapes(c_max: int) -> Iterator[tuple[Epsilon, int, int
 
 def _pair_multisets(pool: list[tuple[int, tuple[int, int]]],
                     budget: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    # Sorted multisets of pairs with total cost within budget.
+    # Multisets of pairs with total cost within budget, each listed once
+    # in pool order.  The pool is sorted by cost, so a level stops at the
+    # first pair that no longer fits.
     acc: list[tuple[int, int]] = []
 
     def rec(start: int, remaining: int) -> Iterator[tuple[tuple[int, int], ...]]:
         yield tuple(acc)
         for i in range(start, len(pool)):
             cost, pq = pool[i]
-            if cost <= remaining:
-                acc.append(pq)
-                yield from rec(i, remaining - cost)
-                acc.pop()
+            if cost > remaining:
+                break
+            acc.append(pq)
+            yield from rec(i, remaining - cost)
+            acc.pop()
 
     yield from rec(0, budget)
 
@@ -141,24 +144,18 @@ def enumerate_nonorientable_closed(
     """Every canonical closed non-orientable parameter set with bound
     <= c_max, with its bound, ordered by the printed normal form."""
     found: dict[NormalizedSeifertParams, ComplexityBound] = {}
-    pools: dict[tuple[int, bool], list] = {}
+    # each pair costs S(p,q) + 1 in the bound; outside o1/n2 a
+    # fibre-reversing curve turns q into p - q, so those take q <= p/2
+    full = sorted((cf_sum(p, q) + 1, (p, q))
+                  for p, q in enumerate_pairs_by_budget(c_max - 1))
+    half = [(cost, (p, q)) for cost, (p, q) in full if 2 * q <= p]
 
     for eps, g, t, k, chi in _closed_nonorientable_shapes(c_max):
         budget = c_max - 6 * (1 - chi) - 6 * t
-        full_range = eps in ORIENTABLE_AWAY_FROM_SE
-        key = (budget, full_range)
-        if key not in pools:
-            candidates = enumerate_pairs_by_budget(budget - 1)
-            if not full_range:
-                candidates = [(p, q) for p, q in candidates if 2 * q <= p]
-            # each pair costs S(p,q) + 1 in the bound
-            pools[key] = [(cf_sum(p, q) + 1, (p, q)) for p, q in candidates]
-        pool = pools[key]
+        pool = full if eps in ORIENTABLE_AWAY_FROM_SE else half
         b_options = (0,) if t > 0 else (0, 1)
         for pairs in _pair_multisets(pool, budget):
             for b in b_options:
-                if b == 1 and any(p == 2 for p, _ in pairs):
-                    continue  # a (2,*) pair lets one more reflection kill b
                 candidate = SeifertParams(b, eps, g, t, k, (), (), pairs)
                 P = normalize(candidate)
                 if P in found:

@@ -65,12 +65,13 @@ def _parse_valid(text: str) -> NormalizedSeifertParams:
         params = parse_params(text)
     except ParseError as exc:
         raise _CliError(EXIT_USAGE, str(exc)) from exc
-    problems = validate(params)
-    if problems:
+    try:
+        return normalize(params)
+    except ValueError as exc:
+        # normalize refuses invalid input in one line; list each problem
         raise _CliError(
             EXIT_INVALID,
-            "invalid parameters:\n  " + "\n  ".join(problems))
-    return normalize(params)
+            "invalid parameters:\n  " + "\n  ".join(validate(params))) from exc
 
 
 def _bound_doc(bound: ComplexityBound) -> dict:
@@ -193,31 +194,35 @@ def _census_entry_doc(params, bound) -> dict:
     return {"params": format_params(params), **_bound_doc(bound)}
 
 
-def _cmd_census_gen(args) -> int:
+def _census_text(args) -> str:
     entries = enumerate_nonorientable_closed(args.cmax)
     if args.json:
-        text = json.dumps({"cmax": args.cmax, "count": len(entries),
+        return json.dumps({"cmax": args.cmax, "count": len(entries),
                            "entries": [_census_entry_doc(P, bd)
                                        for P, bd in entries]},
                           indent=2) + "\n"
-    else:
-        lines = [f"# closed non-orientable census, bound <= {args.cmax} "
-                 f"({len(entries)} entries)",
-                 "# params\tvalue\tcase_tag\texact\tlabel"]
-        for P, bound in entries:
-            lines.append(f"{format_params(P)}\t{bound.value}\t"
-                         f"{bound.case_tag.value}\t"
-                         f"{'yes' if bound.exact else 'no'}\t"
-                         f"{bound.label or '-'}")
-        text = "\n".join(lines) + "\n"
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-                handle.write(text)
-        except OSError as exc:
-            raise _CliError(EXIT_USAGE, f"cannot write {args.out}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+    lines = [f"# closed non-orientable census, bound <= {args.cmax} "
+             f"({len(entries)} entries)",
+             "# params\tvalue\tcase_tag\texact\tlabel"]
+    for P, bound in entries:
+        lines.append(f"{format_params(P)}\t{bound.value}\t"
+                     f"{bound.case_tag.value}\t"
+                     f"{'yes' if bound.exact else 'no'}\t"
+                     f"{bound.label or '-'}")
+    return "\n".join(lines) + "\n"
+
+
+def _cmd_census_gen(args) -> int:
+    if not args.out:
+        sys.stdout.write(_census_text(args))
+        return EXIT_OK
+    # --out is opened before the enumeration, so an unwritable path
+    # fails at once rather than after the whole run
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
+            handle.write(_census_text(args))
+    except OSError as exc:
+        raise _CliError(EXIT_USAGE, f"cannot write {args.out}: {exc}") from exc
     return EXIT_OK
 
 

@@ -62,6 +62,16 @@ def _bordered_special(P: SeifertParams) -> str | None:
     return None
 
 
+def _lens_label(p: int, q: int) -> str:
+    """Canonical name of the lens space L(p, q).  L(p,q) and L(p,q') are
+    homeomorphic iff q' = +-q^(+-1) mod p (Reidemeister 1935; Brody
+    1960), so q is printed as the least of those residues (0 for p = 1)."""
+    if p == 0:
+        return "L(0,1)"
+    inverse = pow(q, -1, p)
+    return f"L({p},{min(q % p, -q % p, inverse, -inverse % p)})"
+
+
 def upper_bound(params: SeifertParams) -> ComplexityBound:
     """Upper bound for the complexity, computed on the normalized form."""
     P = normalize(params)
@@ -79,15 +89,15 @@ def upper_bound(params: SeifertParams) -> ComplexityBound:
 
     if chi == 2 and t == 0 and r == 0:
         return ComplexityBound(max(b - 3, 0), CaseTag.LENS_B1,
-                               label=f"L({b},1)")
+                               label=_lens_label(b, 1))
     if chi == 2 and t == 0 and r == 1:
         p, q = P.pairs[0]
         if b > 0:
             return ComplexityBound(max(b + cf_sum(p, q) - 3, 0),
                                    CaseTag.LENS_BPQ,
-                                   label=f"L({b * p + q},{p})")
+                                   label=_lens_label(b * p + q, p))
         return ComplexityBound(max(cf_sum(p, q) - 3 - p // q, 0),
-                               CaseTag.LENS_QP, label=f"L({q},{p})")
+                               CaseTag.LENS_QP, label=_lens_label(q, p))
     if chi == 1 and P.epsilon is Epsilon.N1 and t == 0 and r == 0:
         if b == 0:
             return ComplexityBound(1, CaseTag.RP2_X_S1, label="RP2 x S1")

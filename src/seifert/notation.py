@@ -14,6 +14,8 @@ Grammar (whitespace between tokens is ignored):
 """
 from __future__ import annotations
 
+import sys
+
 from .core import Epsilon, SeifertParams
 
 _DIGITS = "0123456789"
@@ -32,6 +34,8 @@ class _Scanner:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.digits = 0
+        self.digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)() // 2
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -70,11 +74,17 @@ class _Scanner:
         return self._value(start)
 
     def _value(self, start: int) -> int:
-        # int() refuses more digits than sys.get_int_max_str_digits().
-        try:
-            return int(self.text[start:self.pos])
-        except ValueError:
-            raise ParseError(start, "integer has too many digits") from None
+        # int() and str() refuse more digits than
+        # sys.get_int_max_str_digits() (0: no limit).  Capping the digits
+        # of all integers of the input together at half of it keeps every
+        # printed value within it: the largest, b*p + q of a lens label
+        # after b has absorbed the other pairs, has at most twice as many.
+        self.digits += self.pos - start
+        if self.digit_cap and self.digits > self.digit_cap:
+            raise ParseError(
+                start, "integer has too many digits (at most "
+                f"{self.digit_cap} in all)")
+        return int(self.text[start:self.pos])
 
     def epsilon(self) -> Epsilon:
         self._skip_ws()

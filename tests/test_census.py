@@ -1,9 +1,11 @@
+from itertools import combinations_with_replacement
 from math import gcd
 
 import pytest
 
 import seifert as sf
-from support import census_brute_force, plain
+from seifert.census import _pair_multisets
+from support import census_brute_force, cf_coefficients, plain
 
 
 def P(text):
@@ -28,6 +30,33 @@ class TestPairsByBudget:
     def test_no_duplicates(self):
         pairs = sf.enumerate_pairs_by_budget(10)
         assert len(pairs) == len(set(pairs))
+
+    def test_count_is_one_per_coefficient_sequence(self):
+        # sequences of positive integers with sum <= s and last entry
+        # >= 2 number 2^(s-1) - 1
+        for s in range(1, 17):
+            assert len(sf.enumerate_pairs_by_budget(s)) == 2 ** (s - 1) - 1
+
+
+class TestPairMultisets:
+    C_MAX = 8
+
+    @pytest.mark.parametrize("full_range", [True, False])
+    def test_matches_combinations_within_budget(self, full_range):
+        # the pools as enumerate_nonorientable_closed builds them
+        full = sorted((sf.cf_sum(p, q) + 1, (p, q))
+                      for p, q in sf.enumerate_pairs_by_budget(self.C_MAX - 1))
+        pool = full if full_range else [
+            (cost, (p, q)) for cost, (p, q) in full if 2 * q <= p]
+        pairs = [pq for _, pq in pool]
+        cost = {pq: sum(cf_coefficients(*pq)) + 1 for pq in pairs}
+        for budget in range(self.C_MAX + 1):
+            walked = [tuple(sorted(ms)) for ms in _pair_multisets(pool, budget)]
+            expected = {ms for size in range(budget // 3 + 1)
+                        for ms in combinations_with_replacement(pairs, size)
+                        if sum(cost[pq] for pq in ms) <= budget}
+            assert len(walked) == len(set(walked))
+            assert set(walked) == {tuple(sorted(ms)) for ms in expected}
 
 
 class TestEnumeration:
@@ -68,6 +97,11 @@ class TestEnumeration:
         first = sf.enumerate_nonorientable_closed(6)
         second = sf.enumerate_nonorientable_closed(6)
         assert first == second
+
+    def test_entry_counts(self):
+        counts = [len(sf.enumerate_nonorientable_closed(c)) for c in range(15)]
+        assert counts == [2, 3, 3, 5, 8, 14, 38, 64, 120, 241, 489, 996,
+                          2079, 4263, 8812]
 
     def test_agrees_with_raw_grid_sweep_small(self):
         assert dict(sf.enumerate_nonorientable_closed(1)) == census_brute_force(1)

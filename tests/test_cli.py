@@ -84,6 +84,30 @@ class TestExitCodes:
         code, _, err = run(capsys, "normalize", "{0;(n4,1,(0,0));(|);}")
         assert code == 2 and "n4 requires g >= 3" in err
 
+    def test_validation_failure_lists_every_problem(self, capsys):
+        code, out, err = run(capsys, "normalize",
+                             "{0;(n4,1,(0,1));(|);((4,2))}")
+        assert code == 2 and out == ""
+        assert err == ("invalid parameters:\n"
+                       "  pair (4,2) is not coprime\n"
+                       "  k = 1 exceeds t = 0\n"
+                       "  k + m- is odd\n"
+                       "  epsilon is o or n exactly when k + m- > 0\n"
+                       "  n4 requires g >= 3\n")
+
+    def test_valid_argument_is_validated_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting_validate(params):
+            calls.append(params)
+            return sf.validate(params)
+
+        monkeypatch.setattr("seifert.cli.validate", counting_validate)
+        monkeypatch.setattr("seifert.normal_form.validate", counting_validate)
+        code, _, _ = run(capsys, "bound", "{0;(n1,2,(0,0));(|);((2,1))}")
+        assert code == 0
+        assert len(calls) == 1
+
 
 class TestCensusCommands:
     def test_gen_stdout(self, capsys):
@@ -182,12 +206,36 @@ class TestHostileInput:
         assert "line 3: byte 0xff is not valid UTF-8" in err
         assert "Traceback" not in err
 
-    def test_unwritable_out_is_one(self, capsys, tmp_path):
+    def test_unwritable_out_is_one(self, capsys, tmp_path, monkeypatch):
+        # reported before the census is enumerated
+        def enumerate_nothing(c_max):
+            raise AssertionError("enumerated before opening --out")
+
+        monkeypatch.setattr("seifert.cli.enumerate_nonorientable_closed",
+                            enumerate_nothing)
         target = tmp_path / "absent-dir" / "census.tsv"
-        code, out, err = run(capsys, "census", "gen", "--cmax", "0",
+        code, out, err = run(capsys, "census", "gen", "--cmax", "14",
                              "--out", str(target))
         assert code == 1 and out == ""
         assert f"cannot write {target}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.skipif(not int_digit_limit(), reason="int() reads any length")
+    @pytest.mark.parametrize("argv", [
+        # the label L(b*p+q,p) would have more digits than str() prints
+        ("bound", "{%(n)s;(o1,0,(0,0));(|);((9,1))}"),
+        # the normalized b = 10^limit would have one digit too many
+        ("normalize", "{%(n)s;(o1,0,(0,0));(|);((1,1))}"),
+        # every integer within half the limit, b*p+q still beyond it
+        ("bound", "{%(h)s;(o1,0,(0,0));(|);((1,%(h)s),(%(h)s,1))}"),
+    ])
+    def test_printed_values_stay_within_the_digit_limit(self, capsys, argv):
+        limit = int_digit_limit()
+        digits = {"n": "9" * limit, "h": "9" * (limit // 2)}
+        command, template = argv
+        code, out, err = run(capsys, command, template % digits)
+        assert code == 1 and out == ""
+        assert "integer has too many digits" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("argv", [

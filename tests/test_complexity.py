@@ -67,13 +67,23 @@ class TestClosedBound:
     def test_lens_qp(self):
         result = bound("{0;(o1,0,(0,0));(|);((5,2))}")
         assert result.case_tag is sf.CaseTag.LENS_QP
-        assert result.label == "L(2,5)"
+        assert result.label == "L(2,1)"
         assert result.value == max(4 - 3 - 2, 0) == 0
 
     def test_lens_qp_with_q_one_is_a_sphere(self):
         result = bound("{0;(o1,0,(0,0));(|);((7,1))}")
         assert result.value == 0
-        assert result.label == "L(1,7)"
+        assert result.label == "L(1,0)"
+
+    @pytest.mark.parametrize("text", [
+        "{1;(o1,0,(0,0));(|);((5,2))}",
+        "{1;(o1,0,(0,0));(|);((4,3))}",
+        "{2;(o1,0,(0,0));(|);((3,1))}",
+        "{3;(o1,0,(0,0));(|);((2,1))}",
+    ])
+    def test_lens_label_is_canonical(self, text):
+        # L(7,5) = L(7,4) = L(7,3) = L(7,2): q' = +-q^(+-1) mod 7
+        assert bound(text).label == "L(7,2)"
 
     def test_projective_plane_product(self):
         result = bound("{0;(n1,1,(0,0));(|);}")

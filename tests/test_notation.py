@@ -63,6 +63,18 @@ class TestParse:
         assert err.value.pos == pos
         assert "too many digits" in str(err.value)
 
+    @pytest.mark.skipif(not int_digit_limit(), reason="int() reads any length")
+    def test_digits_of_all_integers_share_half_the_limit(self):
+        # g, t and k take three digits; b takes the rest of the cap
+        cap = int_digit_limit() // 2
+        b = "9" * (cap - 3)
+        sf.parse_params("{%s;(n1,1,(0,0));(|);}" % b)
+        text = "{%s;(n1,1,(0,0));(|);((3,1))}" % b
+        with pytest.raises(sf.ParseError) as err:
+            sf.parse_params(text)
+        assert err.value.pos == text.index("(3,1)") + 1
+        assert "too many digits" in str(err.value)
+
 
 class TestFormat:
     def test_round_trip_examples(self):

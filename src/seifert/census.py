@@ -9,6 +9,20 @@ reflector count and the fibre data.  (The closed orientable spaces admit
 no such census: a fixed lens space carries infinitely many one-fibre
 fibrations with the same bound.)
 
+The walk builds each entry in canonical form, with no ``normalize`` call
+and no dedup, by the rules of ``normalize`` restricted to closed
+non-orientable shapes:
+
+* eps in {o1, n2} (here always t > 0): b = 0, pairs (p, q) with
+  0 < q < p, and the sorted pair list is at most the sorted list of its
+  mirror images (q -> p - q);
+* every other eps: pairs with 2q <= p; b = 0 when t > 0, and when t = 0
+  b is 0 or 1, with b = 1 only if no pair has p = 2.
+
+An entry with pairs has the general bound 6(1 - chi) + 6t + sum_j
+(S(p_j,q_j) + 1), which the walk carries along; the special fibrations
+all have no pairs, so only pairless entries go through ``upper_bound``.
+
 External census tables are read from TSV, one record per line:
 
     name <TAB> params <TAB> complexity <TAB> convention
@@ -19,17 +33,19 @@ against each recorded complexity.
 """
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from .complexity import upper_bound
 from .core import (
     ORIENTABLE_AWAY_FROM_SE,
+    CaseTag,
     ComplexityBound,
     Epsilon,
     NormalizedSeifertParams,
     SeifertParams,
-    cf_sum,
 )
 from .normal_form import normalize
 from .notation import format_params, parse_params
@@ -71,12 +87,16 @@ class ComparisonReport:
     notes: tuple[str, ...]
 
 
-def _cf_value(coeffs: list[int]) -> tuple[int, int]:
-    # [a_1, ..., a_k] -> (p, q) with p/q = a_1 + 1/(a_2 + 1/(...)).
-    num, den = coeffs[-1], 1
-    for a in reversed(coeffs[:-1]):
-        num, den = a * num + den, num
-    return num, den
+def _pairs_with_cf_sum(s_max: int) -> Iterator[tuple[int, int, int]]:
+    # (cf_sum(p, q), p, q) for every coprime 0 < q < p with cf_sum <= s_max,
+    # one per coefficient sequence (a_i >= 1, last >= 2, sum <= s_max).
+    # Sequences grow at the front: if p/q = [a_2, ..., a_k], then
+    # [a, a_2, ..., a_k] = a + q/p = (a*p + q)/p.
+    stack = [(s, s, 1) for s in range(2, s_max + 1)]
+    while stack:
+        s, p, q = stack.pop()
+        yield s, p, q
+        stack.extend((s + a, a * p + q, p) for a in range(1, s_max - s + 1))
 
 
 def enumerate_pairs_by_budget(s_max: int) -> list[tuple[int, int]]:
@@ -86,85 +106,86 @@ def enumerate_pairs_by_budget(s_max: int) -> list[tuple[int, int]]:
     Generated through the coefficient sequences themselves (a_i >= 1,
     last >= 2, sum <= s_max), each of which evaluates to a distinct pair.
     """
-    out: list[tuple[int, int]] = []
-
-    def grow(coeffs: list[int], total: int) -> None:
-        if coeffs and coeffs[-1] >= 2:
-            out.append(_cf_value(coeffs))
-        for a in range(1, s_max - total + 1):
-            coeffs.append(a)
-            grow(coeffs, total + a)
-            coeffs.pop()
-
-    grow([], 0)
-    out.sort()
-    return out
+    return sorted((p, q) for _, p, q in _pairs_with_cf_sum(s_max))
 
 
 def _closed_nonorientable_shapes(c_max: int) -> Iterator[tuple[Epsilon, int, int, int, int]]:
-    # (eps, g, t, k, chi) with 6(1 - chi) + 6t within budget; the closed
-    # orientable shapes (t = 0 with eps in {o1, n2}) are skipped.
+    # (eps, g, t, k, fixed) with the fixed part of the bound, fixed =
+    # 6(1 - chi) + 6t, within budget; the closed orientable shapes (t = 0
+    # with eps in {o1, n2}) are skipped.
     g_cap = c_max // 6 + 2
     t_cap = (c_max + 6) // 6
     for eps in Epsilon:
         for g in range(eps.min_genus, g_cap + 1):
             chi = 2 - 2 * g if eps.orientable_base else 2 - g
             for t in range(t_cap + 1):
-                if 6 * (1 - chi) + 6 * t > c_max:
+                fixed = 6 * (1 - chi) + 6 * t
+                if fixed > c_max:
                     break
                 if eps in (Epsilon.O, Epsilon.N):
                     for k in range(2, t + 1, 2):
-                        yield eps, g, t, k, chi
+                        yield eps, g, t, k, fixed
                 elif t > 0 or eps not in ORIENTABLE_AWAY_FROM_SE:
-                    yield eps, g, t, 0, chi
+                    yield eps, g, t, 0, fixed
 
 
 def _pair_multisets(pool: list[tuple[int, tuple[int, int]]],
-                    budget: int) -> Iterator[tuple[tuple[int, int], ...]]:
-    # Multisets of pairs with total cost within budget, each listed once
-    # in pool order.  The pool is sorted by cost, so a level stops at the
-    # first pair that no longer fits.
+                    budget: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    # (cost, multiset) for the multisets of pairs with total cost within
+    # budget, each listed once in pool order.  The pool is sorted by
+    # cost, so a level stops at the first pair that no longer fits.
     acc: list[tuple[int, int]] = []
 
-    def rec(start: int, remaining: int) -> Iterator[tuple[tuple[int, int], ...]]:
-        yield tuple(acc)
+    def rec(start: int, spent: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+        yield spent, tuple(acc)
         for i in range(start, len(pool)):
             cost, pq = pool[i]
-            if cost > remaining:
+            if spent + cost > budget:
                 break
             acc.append(pq)
-            yield from rec(i, remaining - cost)
+            yield from rec(i, spent + cost)
             acc.pop()
 
-    yield from rec(0, budget)
+    yield from rec(0, 0)
+
+
+def _census_entries(
+        c_max: int) -> Iterator[tuple[str, NormalizedSeifertParams, ComplexityBound]]:
+    # (printed form, entry, bound) for every census entry, unordered,
+    # built canonical by the rules of the module docstring.  Each pair
+    # costs S(p,q) + 1 in the bound; outside o1/n2 a fibre-reversing
+    # curve turns q into p - q, so those take q <= p/2.  The walk needs
+    # the pool sorted by cost only.
+    full = sorted(((s + 1, (p, q)) for s, p, q in _pairs_with_cf_sum(c_max - 1)),
+                  key=itemgetter(0))
+    half = [item for item in full if 2 * item[1][1] <= item[1][0]]
+    general = [ComplexityBound(value, CaseTag.CLOSED_NONORIENTABLE_GENERAL)
+               for value in range(c_max + 1)]
+
+    for eps, g, t, k, fixed in _closed_nonorientable_shapes(c_max):
+        mirror_only = eps in ORIENTABLE_AWAY_FROM_SE
+        for spent, multiset in _pair_multisets(full if mirror_only else half,
+                                               c_max - fixed):
+            pairs = tuple(sorted(multiset))
+            if mirror_only and pairs > tuple(sorted((p, p - q) for p, q in pairs)):
+                continue
+            if t > 0 or any(p == 2 for p, _ in pairs):
+                b_options = (0,)
+            else:
+                b_options = (0, 1)
+            for b in b_options:
+                P = NormalizedSeifertParams(b, eps, g, t, k, (), (), pairs)
+                bound = general[fixed + spent] if pairs else upper_bound(P)
+                if bound.value <= c_max:
+                    yield format_params(P), P, bound
 
 
 def enumerate_nonorientable_closed(
         c_max: int) -> list[tuple[NormalizedSeifertParams, ComplexityBound]]:
     """Every canonical closed non-orientable parameter set with bound
     <= c_max, with its bound, ordered by the printed normal form."""
-    found: dict[NormalizedSeifertParams, ComplexityBound] = {}
-    # each pair costs S(p,q) + 1 in the bound; outside o1/n2 a
-    # fibre-reversing curve turns q into p - q, so those take q <= p/2
-    full = sorted((cf_sum(p, q) + 1, (p, q))
-                  for p, q in enumerate_pairs_by_budget(c_max - 1))
-    half = [(cost, (p, q)) for cost, (p, q) in full if 2 * q <= p]
-
-    for eps, g, t, k, chi in _closed_nonorientable_shapes(c_max):
-        budget = c_max - 6 * (1 - chi) - 6 * t
-        pool = full if eps in ORIENTABLE_AWAY_FROM_SE else half
-        b_options = (0,) if t > 0 else (0, 1)
-        for pairs in _pair_multisets(pool, budget):
-            for b in b_options:
-                candidate = SeifertParams(b, eps, g, t, k, (), (), pairs)
-                P = normalize(candidate)
-                if P in found:
-                    continue
-                bound = upper_bound(P)
-                if bound.value <= c_max:
-                    found[P] = bound
-
-    return sorted(found.items(), key=lambda item: format_params(item[0]))
+    entries = sorted(_census_entries(c_max), key=itemgetter(0))
+    return [(P, bound) for _, P, bound in entries]
 
 
 class CensusFormatError(ValueError):
@@ -180,7 +201,8 @@ def ingest_census(source: Iterable[str] | str) -> list[CensusRecord]:
     converts burton-convention rows, so ``CensusRecord.params`` is the
     canonical form under both conventions."""
     if isinstance(source, str):
-        source = source.splitlines()
+        # split where a file read in text mode would: at \n, \r\n and \r
+        source = io.StringIO(source, newline=None)
     records = []
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\r\n")

@@ -14,12 +14,14 @@ import argparse
 import json
 import sys
 from dataclasses import asdict
+from operator import itemgetter
+from typing import Iterator
 
 from .census import (
     CensusFormatError,
     ComparisonReport,
+    _census_entries,
     compare,
-    enumerate_nonorientable_closed,
     ingest_census,
 )
 from .complexity import (
@@ -190,37 +192,34 @@ def _cmd_conjecture(args) -> int:
     return EXIT_OK
 
 
-def _census_entry_doc(params, bound) -> dict:
-    return {"params": format_params(params), **_bound_doc(bound)}
-
-
-def _census_text(args) -> str:
-    entries = enumerate_nonorientable_closed(args.cmax)
+def _census_lines(args) -> Iterator[str]:
     if args.json:
-        return json.dumps({"cmax": args.cmax, "count": len(entries),
-                           "entries": [_census_entry_doc(P, bd)
-                                       for P, bd in entries]},
-                          indent=2) + "\n"
-    lines = [f"# closed non-orientable census, bound <= {args.cmax} "
-             f"({len(entries)} entries)",
-             "# params\tvalue\tcase_tag\texact\tlabel"]
-    for P, bound in entries:
-        lines.append(f"{format_params(P)}\t{bound.value}\t"
-                     f"{bound.case_tag.value}\t"
-                     f"{'yes' if bound.exact else 'no'}\t"
-                     f"{bound.label or '-'}")
-    return "\n".join(lines) + "\n"
+        entries = sorted(_census_entries(args.cmax), key=itemgetter(0))
+        yield json.dumps({"cmax": args.cmax, "count": len(entries),
+                          "entries": [{"params": text, **_bound_doc(bound)}
+                                      for text, _, bound in entries]},
+                         indent=2) + "\n"
+        return
+    # the tab after the params text sorts below every printed character
+    # and no two entries share a text, so the lines sort as the texts do
+    lines = sorted(f"{text}\t{bound.value}\t{bound.case_tag.value}\t"
+                   f"{'yes' if bound.exact else 'no'}\t{bound.label or '-'}\n"
+                   for text, _, bound in _census_entries(args.cmax))
+    yield (f"# closed non-orientable census, bound <= {args.cmax} "
+           f"({len(lines)} entries)\n")
+    yield "# params\tvalue\tcase_tag\texact\tlabel\n"
+    yield from lines
 
 
 def _cmd_census_gen(args) -> int:
     if not args.out:
-        sys.stdout.write(_census_text(args))
+        sys.stdout.writelines(_census_lines(args))
         return EXIT_OK
     # --out is opened before the enumeration, so an unwritable path
     # fails at once rather than after the whole run
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(_census_text(args))
+            handle.writelines(_census_lines(args))
     except OSError as exc:
         raise _CliError(EXIT_USAGE, f"cannot write {args.out}: {exc}") from exc
     return EXIT_OK

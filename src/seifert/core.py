@@ -125,8 +125,11 @@ class SeifertParams:
 class NormalizedSeifertParams(SeifertParams):
     """A parameter set in canonical form; the type is the proof.
 
-    Only ``normal_form.normalize`` builds these, and it returns one
-    unchanged.  The moves rebuild a plain ``SeifertParams``.
+    ``normal_form.normalize`` builds these and returns one unchanged.
+    The census walk also builds them, directly from the canonical-form
+    rules of closed non-orientable shapes; the tests check every census
+    entry P with ``normalize(plain(P)) == P``.  The moves rebuild a plain
+    ``SeifertParams``.
     """
 
 

@@ -170,6 +170,38 @@ def census_brute_force(c_max: int) -> dict:
     return {P: bd for P, bd in seen.items() if bd.value <= c_max}
 
 
+def census_by_normalizing(c_max: int) -> dict:
+    """The census the slow way: every multiset of the full pair pool on
+    every admissible closed non-orientable shape, with b = 0 and b = 1,
+    normalized, with the duplicates folded in a dict, keeping the forms
+    whose bound fits.  It builds in none of the canonical-form rules the
+    enumerator walks by."""
+    from seifert.census import _pair_multisets
+
+    # 6(1 - chi) + 6t >= 0 on these shapes, so a pair costs at most c_max
+    pool = sorted((sum(cf_coefficients(p, q)) + 1, (p, q))
+                  for p, q in sf.enumerate_pairs_by_budget(c_max - 1))
+    found: dict = {}
+    for eps in EPSILONS:
+        for g in range(eps.min_genus, c_max + 3):
+            chi = sf.euler_char_base(sf.SeifertParams(0, eps, g, 0, 0))
+            for t in range(c_max + 2):
+                fixed = 6 * (1 - chi) + 6 * t
+                if fixed > c_max:
+                    continue
+                for k in range(t + 1):
+                    shape = sf.SeifertParams(0, eps, g, t, k)
+                    if sf.validate(shape) or sf.is_orientable(shape):
+                        continue
+                    for _, pairs in _pair_multisets(pool, c_max - fixed):
+                        for b in (0, 1):
+                            P = sf.normalize(sf.SeifertParams(
+                                b, eps, g, t, k, (), (), pairs))
+                            if P not in found:
+                                found[P] = sf.upper_bound(P)
+    return {P: bd for P, bd in found.items() if bd.value <= c_max}
+
+
 PAPER_PARAM_STRINGS = [
     # worked example with every kind of exceptional set
     "{0;(o,4,(1,1));(1|0);((3,1),(5,2))}",

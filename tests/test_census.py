@@ -5,7 +5,8 @@ import pytest
 
 import seifert as sf
 from seifert.census import _pair_multisets
-from support import census_brute_force, cf_coefficients, plain
+from support import (census_brute_force, census_by_normalizing,
+                     cf_coefficients, plain)
 
 
 def P(text):
@@ -51,7 +52,10 @@ class TestPairMultisets:
         pairs = [pq for _, pq in pool]
         cost = {pq: sum(cf_coefficients(*pq)) + 1 for pq in pairs}
         for budget in range(self.C_MAX + 1):
-            walked = [tuple(sorted(ms)) for ms in _pair_multisets(pool, budget)]
+            walked = []
+            for spent, ms in _pair_multisets(pool, budget):
+                assert spent == sum(cost[pq] for pq in ms)
+                walked.append(tuple(sorted(ms)))
             expected = {ms for size in range(budget // 3 + 1)
                         for ms in combinations_with_replacement(pairs, size)
                         if sum(cost[pq] for pq in ms) <= budget}
@@ -82,7 +86,7 @@ class TestEnumeration:
             previous = current
 
     def test_entries_are_canonical_closed_nonorientable(self):
-        for params, bound in sf.enumerate_nonorientable_closed(7):
+        for params, bound in sf.enumerate_nonorientable_closed(12):
             assert sf.is_closed(params)
             assert not sf.is_orientable(params)
             assert sf.normalize(plain(params)) == params
@@ -99,9 +103,14 @@ class TestEnumeration:
         assert first == second
 
     def test_entry_counts(self):
-        counts = [len(sf.enumerate_nonorientable_closed(c)) for c in range(15)]
+        counts = [len(sf.enumerate_nonorientable_closed(c)) for c in range(17)]
         assert counts == [2, 3, 3, 5, 8, 14, 38, 64, 120, 241, 489, 996,
-                          2079, 4263, 8812]
+                          2079, 4263, 8812, 18223, 37742]
+
+    def test_matches_normalize_and_fold_reference(self):
+        for c in range(13):
+            assert (dict(sf.enumerate_nonorientable_closed(c))
+                    == census_by_normalizing(c))
 
     def test_agrees_with_raw_grid_sweep_small(self):
         assert dict(sf.enumerate_nonorientable_closed(1)) == census_brute_force(1)
@@ -141,6 +150,27 @@ class TestIngest:
         with open(path, encoding="utf-8") as handle:
             records = sf.ingest_census(handle)
         assert len(records) == 3
+
+    def test_string_splits_like_a_file(self, tmp_path):
+        # form feed, \x1c and U+2028 end a line for str.splitlines but
+        # not in a file read in text mode
+        text = ("form\x0cfeed\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\r\n"
+                "sep\x1c\u2028\t{0;(o1,0,(1,0));(|);}\t0\tnormalized\r"
+                "X\t{0;(n3,2,(0,0));(|);((3,2))}\t10\tburton\n")
+        path = tmp_path / "census.tsv"
+        path.write_bytes(text.encode("utf-8"))
+        with open(path, encoding="utf-8") as handle:
+            from_file = sf.ingest_census(handle)
+        assert [r.name for r in from_file] == ["form\x0cfeed",
+                                               "sep\x1c\u2028", "X"]
+        assert sf.ingest_census(text) == from_file
+        # and a bad row is numbered alike
+        path.write_bytes((text + "bad\n").encode("utf-8"))
+        with pytest.raises(sf.CensusFormatError, match="line 4"):
+            with open(path, encoding="utf-8") as handle:
+                sf.ingest_census(handle)
+        with pytest.raises(sf.CensusFormatError, match="line 4"):
+            sf.ingest_census(text + "bad\n")
 
     @pytest.mark.parametrize("line,fragment", [
         ("bad line without tabs", "4 tab-separated fields"),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -162,6 +163,15 @@ class TestCensusCommands:
                          str(tmp_path / "absent.tsv"))
         assert code == 1
 
+    @pytest.mark.parametrize("argv,digest", [
+        (("--cmax", "15"), "b67935a82b9c73fb519b9f4607133a9aff87e79874635cd2ad1e69b1bc265af4"),
+        (("--cmax", "12", "--json"), "ac98e6413cd80347f319b927737393b682387217eb51173bf6f1b7fd9b554e27"),
+    ], ids=["text", "json"])
+    def test_gen_output_is_pinned(self, capsys, argv, digest):
+        code, out, err = run(capsys, "census", "gen", *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
     def test_gen_round_trips_through_check(self, capsys, tmp_path):
         # feed the generated census back in as a table of recorded values
         code, out, _ = run(capsys, "census", "gen", "--cmax", "3")
@@ -208,11 +218,10 @@ class TestHostileInput:
 
     def test_unwritable_out_is_one(self, capsys, tmp_path, monkeypatch):
         # reported before the census is enumerated
-        def enumerate_nothing(c_max):
-            raise AssertionError("enumerated before opening --out")
+        def walk_nothing(c_max):
+            raise AssertionError("census walked before opening --out")
 
-        monkeypatch.setattr("seifert.cli.enumerate_nonorientable_closed",
-                            enumerate_nothing)
+        monkeypatch.setattr("seifert.cli._census_entries", walk_nothing)
         target = tmp_path / "absent-dir" / "census.tsv"
         code, out, err = run(capsys, "census", "gen", "--cmax", "14",
                              "--out", str(target))

@@ -19,9 +19,13 @@ non-orientable shapes:
 * every other eps: pairs with 2q <= p; b = 0 when t > 0, and when t = 0
   b is 0 or 1, with b = 1 only if no pair has p = 2.
 
-An entry with pairs has the general bound 6(1 - chi) + 6t + sum_j
-(S(p_j,q_j) + 1), which the walk carries along; the special fibrations
-all have no pairs, so only pairless entries go through ``upper_bound``.
+The shapes {0;(eps,g,(t,k));(|);} are the points of an (eps, g, t, k)
+grid that ``validate`` admits and ``is_orientable`` rejects.  An entry
+with pairs has the general bound, which the walk takes from
+``complexity._closed_nonorientable_general``, asked once per shape for
+each fibre-term sum sum_j (S(p_j,q_j) + 1) within the budget; the special
+fibrations all have no pairs, so only pairless entries go through
+``upper_bound``.
 
 External census tables are read from TSV, one record per line:
 
@@ -35,17 +39,19 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass
+from itertools import product
 from operator import itemgetter
 from typing import Iterable, Iterator
 
-from .complexity import upper_bound
+from .complexity import _closed_nonorientable_general, upper_bound
 from .core import (
     ORIENTABLE_AWAY_FROM_SE,
-    CaseTag,
     ComplexityBound,
     Epsilon,
     NormalizedSeifertParams,
     SeifertParams,
+    is_orientable,
+    validate,
 )
 from .normal_form import normalize
 from .notation import format_params, parse_params
@@ -58,7 +64,7 @@ class CensusRecord:
     """One row of an external census table."""
 
     name: str
-    params: SeifertParams
+    params: NormalizedSeifertParams
     complexity: int
     convention: str
 
@@ -109,26 +115,6 @@ def enumerate_pairs_by_budget(s_max: int) -> list[tuple[int, int]]:
     return sorted((p, q) for _, p, q in _pairs_with_cf_sum(s_max))
 
 
-def _closed_nonorientable_shapes(c_max: int) -> Iterator[tuple[Epsilon, int, int, int, int]]:
-    # (eps, g, t, k, fixed) with the fixed part of the bound, fixed =
-    # 6(1 - chi) + 6t, within budget; the closed orientable shapes (t = 0
-    # with eps in {o1, n2}) are skipped.
-    g_cap = c_max // 6 + 2
-    t_cap = (c_max + 6) // 6
-    for eps in Epsilon:
-        for g in range(eps.min_genus, g_cap + 1):
-            chi = 2 - 2 * g if eps.orientable_base else 2 - g
-            for t in range(t_cap + 1):
-                fixed = 6 * (1 - chi) + 6 * t
-                if fixed > c_max:
-                    break
-                if eps in (Epsilon.O, Epsilon.N):
-                    for k in range(2, t + 1, 2):
-                        yield eps, g, t, k, fixed
-                elif t > 0 or eps not in ORIENTABLE_AWAY_FROM_SE:
-                    yield eps, g, t, 0, fixed
-
-
 def _pair_multisets(pool: list[tuple[int, tuple[int, int]]],
                     budget: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
     # (cost, multiset) for the multisets of pairs with total cost within
@@ -159,13 +145,21 @@ def _census_entries(
     full = sorted(((s + 1, (p, q)) for s, p, q in _pairs_with_cf_sum(c_max - 1)),
                   key=itemgetter(0))
     half = [item for item in full if 2 * item[1][1] <= item[1][0]]
-    general = [ComplexityBound(value, CaseTag.CLOSED_NONORIENTABLE_GENERAL)
-               for value in range(c_max + 1)]
 
-    for eps, g, t, k, fixed in _closed_nonorientable_shapes(c_max):
+    # the shapes: g, t, k <= c_max // 6 + 1, as each genus and each
+    # reflector circle adds at least 6 to the bound; the budget is tested
+    # before validate because it prunes most of the grid
+    grid = range(c_max // 6 + 2)
+    for eps, g, t, k in product(Epsilon, grid, grid, grid):
+        shape = SeifertParams(0, eps, g, t, k)
+        room = c_max - _closed_nonorientable_general(shape, 0).value
+        if room < 0 or validate(shape) or is_orientable(shape):
+            continue
+        # bounds[s]: the one bound of the shape's entries whose pairs cost s
+        bounds = [_closed_nonorientable_general(shape, s) for s in range(room + 1)]
         mirror_only = eps in ORIENTABLE_AWAY_FROM_SE
         for spent, multiset in _pair_multisets(full if mirror_only else half,
-                                               c_max - fixed):
+                                               room):
             pairs = tuple(sorted(multiset))
             if mirror_only and pairs > tuple(sorted((p, p - q) for p, q in pairs)):
                 continue
@@ -175,7 +169,7 @@ def _census_entries(
                 b_options = (0, 1)
             for b in b_options:
                 P = NormalizedSeifertParams(b, eps, g, t, k, (), (), pairs)
-                bound = general[fixed + spent] if pairs else upper_bound(P)
+                bound = bounds[spent] if pairs else upper_bound(P)
                 if bound.value <= c_max:
                     yield format_params(P), P, bound
 

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict
-from operator import itemgetter
 from typing import Iterator
 
 from .census import (
@@ -46,6 +46,13 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_VIOLATION = 3
+
+# The census listing, its run time and its memory each grow about 2.07x
+# per unit of budget, and the pair pool alone holds 2^(c-2) pairs:
+# budget 20 lists 693,478 entries in about 10 s and 150 MB, so 24 needs
+# a few GB and a few minutes, and each step past it doubles both.  A
+# larger budget is refused rather than left to exhaust memory.
+_GEN_BUDGET_LIMIT = 24
 
 
 class _CliError(Exception):
@@ -194,11 +201,20 @@ def _cmd_conjecture(args) -> int:
 
 def _census_lines(args) -> Iterator[str]:
     if args.json:
-        entries = sorted(_census_entries(args.cmax), key=itemgetter(0))
-        yield json.dumps({"cmax": args.cmax, "count": len(entries),
-                          "entries": [{"params": text, **_bound_doc(bound)}
-                                      for text, _, bound in entries]},
-                         indent=2) + "\n"
+        # one JSON text per entry, in json.dumps(doc, indent=2) layout;
+        # the quote after the params text sorts below every printed
+        # character, so the rows sort as the texts do
+        dumps = json.dumps
+        rows = sorted(f'    {{\n      "params": {dumps(text)},\n'
+                      f'      "value": {bound.value},\n'
+                      f'      "case_tag": {dumps(bound.case_tag.value)},\n'
+                      f'      "exact": {dumps(bound.exact)},\n'
+                      f'      "label": {dumps(bound.label)}\n    }}'
+                      for text, _, bound in _census_entries(args.cmax))
+        yield (f'{{\n  "cmax": {args.cmax},\n  "count": {len(rows)},\n'
+               f'  "entries": [\n')
+        yield from (row + ",\n" for row in rows[:-1])
+        yield rows[-1] + "\n  ]\n}\n"
         return
     # the tab after the params text sorts below every printed character
     # and no two entries share a text, so the lines sort as the texts do
@@ -297,6 +313,17 @@ def _budget(text: str) -> int:
     return value
 
 
+def _gen_budget(text: str) -> int:
+    """argparse type of census gen --cmax: a budget from 0 to
+    _GEN_BUDGET_LIMIT."""
+    value = _budget(text)
+    if value > _GEN_BUDGET_LIMIT:
+        raise argparse.ArgumentTypeError(
+            f"census gen takes a budget of at most {_GEN_BUDGET_LIMIT}, "
+            f"got {text!r}")
+    return value
+
+
 def _build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="seifert",
@@ -341,7 +368,7 @@ def _build_parser() -> _ArgumentParser:
     p = add("gen", _cmd_census_gen,
             "enumerate the closed non-orientable census up to a bound budget",
             census_sub)
-    p.add_argument("--cmax", type=_budget, required=True)
+    p.add_argument("--cmax", type=_gen_budget, required=True)
     p.add_argument("--out", help="write to a file instead of stdout")
 
     p = add("check", _cmd_census_check,
@@ -356,10 +383,21 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        # flushed here so that a closed pipe is reported below
+        sys.stdout.flush()
+        return code
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except BrokenPipeError as exc:
+        # The reader of stdout went away.  Point stdout at devnull so the
+        # flush at interpreter exit does not raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"cannot write stdout: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -16,6 +16,10 @@ use
 
     max{b - 1 + chi, 0} + 6(1 - chi) + sum_j (S(p_j,q_j) + 1)   (orientable)
     6(1 - chi) + 6t + sum_j (S(p_j,q_j) + 1)                    (non-orientable)
+
+The non-orientable formula has one home, ``_closed_nonorientable_general``,
+which takes the fibre-term sum; ``upper_bound`` and the census walk both
+call it.
 """
 from __future__ import annotations
 
@@ -111,7 +115,14 @@ def upper_bound(params: SeifertParams) -> ComplexityBound:
     if is_orientable(P):
         value = max(b - 1 + chi, 0) + 6 * (1 - chi) + fibre_terms
         return ComplexityBound(value, CaseTag.CLOSED_ORIENTABLE_GENERAL)
-    value = 6 * (1 - chi) + 6 * t + fibre_terms
+    return _closed_nonorientable_general(P, fibre_terms)
+
+
+def _closed_nonorientable_general(P: SeifertParams,
+                                  fibre_terms: int) -> ComplexityBound:
+    """The general bound 6(1 - chi) + 6t + fibre_terms of a closed
+    non-orientable P whose pairs give fibre_terms = sum_j (S(p_j,q_j) + 1)."""
+    value = 6 * (1 - euler_char_base(P)) + 6 * P.t + fibre_terms
     return ComplexityBound(value, CaseTag.CLOSED_NONORIENTABLE_GENERAL)
 
 

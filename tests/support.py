@@ -4,7 +4,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import comb, gcd
 from random import Random
 
 import seifert as sf
@@ -200,6 +200,73 @@ def census_by_normalizing(c_max: int) -> dict:
                             if P not in found:
                                 found[P] = sf.upper_bound(P)
     return {P: bd for P, bd in found.items() if bd.value <= c_max}
+
+
+def _multiset_counts(types: dict[int, int], budget: int) -> list[int]:
+    """[x^j] of prod_c 1/(1 - x^c)^types[c] for j = 0..budget: the
+    multisets of total cost j over types[c] kinds of cost c."""
+    coeffs = [1] + [0] * budget
+    for cost, kinds in types.items():
+        grown = [0] * (budget + 1)
+        for j in range(budget // cost + 1):
+            # multisets of j items of this cost
+            ways = comb(kinds + j - 1, j)
+            for i in range(budget - cost * j + 1):
+                grown[i + cost * j] += ways * coeffs[i]
+        coeffs = grown
+    return coeffs
+
+
+def census_counts_by_shape(c_max: int) -> dict:
+    """Census entries per (eps, g, t, k, b), counted by generating
+    functions instead of walked.
+
+    A pair (p, q) adds c = S(p,q) + 1 to the fixed part 6(1 - chi) + 6t
+    of the bound.  There is one pair per continued fraction, so 2^(c-3)
+    pairs of each cost c >= 3 with 0 < q < p; with 2q <= p there is one
+    of cost 3, (2,1), and 2^(c-4) of each cost c >= 4.
+
+    * o1/n2 shapes (here t > 0): b = 0, and the multisets of the first
+      kind up to the mirror q -> p - q, by Burnside (all + fixed) / 2.
+      A mirror-fixed multiset holds (2,1), the only fixed pair, any
+      number of times and the other pairs in couples with their mirror
+      images, each couple costing 2c.
+    * Other shapes: the multisets of the second kind with b = 0, and
+      when t = 0 also those without (2,1), the one pair with p = 2,
+      with b = 1.
+    """
+    full = {c: 2 ** (c - 3) for c in range(3, c_max + 1)}
+    half = {c: 1 if c == 3 else 2 ** (c - 4) for c in range(3, c_max + 1)}
+    couples = {2 * c: n // 2 for c, n in full.items() if c > 3}
+    counts = {}
+    for eps in EPSILONS:
+        for g in range(c_max + 3):
+            chi = 2 - 2 * g if eps.orientable_base else 2 - g
+            for t in range(c_max + 2):
+                for k in range(t + 1):
+                    shape = sf.SeifertParams(0, eps, g, t, k)
+                    room = c_max - 6 * (1 - chi) - 6 * t
+                    if (room < 0 or sf.validate(shape)
+                            or sf.is_orientable(shape)):
+                        continue
+                    if eps in sf.ORIENTABLE_AWAY_FROM_SE:
+                        mirror_fixed = sum(_multiset_counts(
+                            {3: 1, **couples}, room))
+                        by_b = {0: (sum(_multiset_counts(full, room))
+                                    + mirror_fixed) // 2}
+                    else:
+                        by_b = {0: sum(_multiset_counts(half, room))}
+                        if t == 0:
+                            by_b[1] = sum(_multiset_counts(
+                                {c: n for c, n in half.items() if c > 3},
+                                room))
+                    if (eps, g, t, c_max) == (sf.Epsilon.N1, 1, 0, 0):
+                        # RP2 x S1: the pairless b = 0 fibration has
+                        # bound 1, not the fixed part 0
+                        by_b[0] -= 1
+                    counts.update(((eps, g, t, k, b), n)
+                                  for b, n in by_b.items() if n)
+    return counts
 
 
 PAPER_PARAM_STRINGS = [

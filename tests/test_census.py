@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import combinations_with_replacement
 from math import gcd
 
@@ -6,7 +7,7 @@ import pytest
 import seifert as sf
 from seifert.census import _pair_multisets
 from support import (census_brute_force, census_by_normalizing,
-                     cf_coefficients, plain)
+                     census_counts_by_shape, cf_coefficients, plain)
 
 
 def P(text):
@@ -103,9 +104,16 @@ class TestEnumeration:
         assert first == second
 
     def test_entry_counts(self):
-        counts = [len(sf.enumerate_nonorientable_closed(c)) for c in range(17)]
-        assert counts == [2, 3, 3, 5, 8, 14, 38, 64, 120, 241, 489, 996,
-                          2079, 4263, 8812, 18223, 37742]
+        # one walk per budget, checked against the pinned totals and,
+        # shape by shape, against the generating-function counts
+        totals = [2, 3, 3, 5, 8, 14, 38, 64, 120, 241, 489, 996,
+                  2079, 4263, 8812, 18223, 37742]
+        for c, total in enumerate(totals):
+            entries = sf.enumerate_nonorientable_closed(c)
+            assert len(entries) == total
+            by_shape = Counter((P.epsilon, P.g, P.t, P.k, P.b)
+                               for P, _ in entries)
+            assert dict(by_shape) == census_counts_by_shape(c)
 
     def test_matches_normalize_and_fold_reference(self):
         for c in range(13):

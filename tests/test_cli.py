@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -246,6 +250,47 @@ class TestHostileInput:
         assert code == 1 and out == ""
         assert "integer has too many digits" in err
         assert "Traceback" not in err
+
+    def test_absurd_gen_budget_is_refused(self, capsys, tmp_path,
+                                          monkeypatch):
+        # refused before the walk starts and before --out is opened
+        def walk_nothing(c_max):
+            raise AssertionError("census walked at an absurd budget")
+
+        monkeypatch.setattr("seifert.cli._census_entries", walk_nothing)
+        target = tmp_path / "census.tsv"
+        for budget in ("25", "1000000000000"):
+            code, out, err = run(capsys, "census", "gen", "--cmax", budget,
+                                 "--out", str(target))
+            assert code == 1 and out == ""
+            assert "census gen takes a budget of at most 24" in err
+            assert "Traceback" not in err
+            assert not target.exists()
+        # census check --cmax only filters rows, so any budget goes
+        table = tmp_path / "table.tsv"
+        table.write_text("RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\n")
+        code, out, _ = run(capsys, "census", "check", "--file", str(table),
+                           "--cmax", "1000000000000")
+        assert code == 0 and "sharp: 1" in out
+
+    def test_closed_stdout_is_one(self):
+        # the listing is far larger than a pipe buffer, so the writer is
+        # still writing when the reader leaves
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        with subprocess.Popen(
+                [sys.executable, "-m", "seifert", "census", "gen",
+                 "--cmax", "14"],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                env=env) as proc:
+            first = proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+            code = proc.wait(timeout=60)
+        assert first.startswith(b"# closed non-orientable census")
+        assert code == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
+        assert "cannot write stdout" in err
 
     @pytest.mark.parametrize("argv", [
         ("census", "gen", "--cmax", "-3"),

@@ -212,6 +212,9 @@ def ingest_census(source: Iterable[str] | str) -> list[CensusRecord]:
         except ValueError as exc:
             raise CensusFormatError(lineno, str(exc)) from exc
         try:
+            # int() also reads "_" separators and non-ASCII digits
+            if "_" in complexity_text or not complexity_text.isascii():
+                raise ValueError
             complexity = int(complexity_text)
         except ValueError:
             raise CensusFormatError(

@@ -275,7 +275,7 @@ def _utf8_lines(handle):
 
 def _cmd_census_check(args) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8",
+        with open(args.file, "r", encoding="utf-8-sig",
                   errors="surrogateescape") as handle:
             records = ingest_census(_utf8_lines(handle))
     except OSError as exc:

@@ -24,6 +24,7 @@ Everything in this module is a direct read of the parameter set.
 """
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from math import gcd
@@ -73,27 +74,25 @@ _MIN_GENUS = {
 ORIENTABLE_AWAY_FROM_SE = frozenset((Epsilon.O1, Epsilon.N2))
 
 
-@dataclass(frozen=True, eq=False)
-class SeifertParams:
+class SeifertParams(namedtuple("SeifertParams",
+                                "b epsilon g t k hplus kminus pairs")):
     """A raw parameter set; not necessarily in canonical form.
 
-    m+, m- and r are the lengths of ``hplus``, ``kminus`` and ``pairs``
-    and are never stored separately.
+    An immutable named tuple of the eight fields, so equality and
+    hashing are by value: a ``NormalizedSeifertParams`` equals, and
+    hashes like, the plain set with the same fields.  ``hplus``,
+    ``kminus``, ``pairs`` and each pair are stored as tuples whatever
+    sequences they are given as.  m+, m- and r are the lengths of
+    ``hplus``, ``kminus`` and ``pairs`` and are never stored separately.
     """
 
-    b: int
-    epsilon: Epsilon
-    g: int
-    t: int
-    k: int
-    hplus: tuple[int, ...] = ()
-    kminus: tuple[int, ...] = ()
-    pairs: tuple[tuple[int, int], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "hplus", tuple(self.hplus))
-        object.__setattr__(self, "kminus", tuple(self.kminus))
-        object.__setattr__(self, "pairs", tuple(tuple(pq) for pq in self.pairs))
+    def __new__(cls, b: int, epsilon: Epsilon, g: int, t: int, k: int,
+                hplus: tuple[int, ...] = (), kminus: tuple[int, ...] = (),
+                pairs: tuple[tuple[int, int], ...] = ()):
+        return tuple.__new__(cls, (b, epsilon, g, t, k, tuple(hplus),
+                                   tuple(kminus), tuple(map(tuple, pairs))))
 
     @property
     def m_plus(self) -> int:
@@ -107,20 +106,6 @@ class SeifertParams:
     def r(self) -> int:
         return len(self.pairs)
 
-    def _key(self):
-        return (self.b, self.epsilon, self.g, self.t, self.k,
-                self.hplus, self.kminus, self.pairs)
-
-    # Equality is by parameter values, so a normalized form compares
-    # equal to a plain parameter set with the same entries.
-    def __eq__(self, other):
-        if not isinstance(other, SeifertParams):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
 
 class NormalizedSeifertParams(SeifertParams):
     """A parameter set in canonical form; the type is the proof.
@@ -129,8 +114,11 @@ class NormalizedSeifertParams(SeifertParams):
     The census walk also builds them, directly from the canonical-form
     rules of closed non-orientable shapes; the tests check every census
     entry P with ``normalize(plain(P)) == P``.  The moves rebuild a plain
-    ``SeifertParams``.
+    ``SeifertParams``, never with ``_replace`` or ``_make``, which would
+    keep this class.  Equality and hashing ignore the class.
     """
+
+    __slots__ = ()
 
 
 @dataclass(frozen=True)

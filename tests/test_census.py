@@ -107,7 +107,7 @@ class TestEnumeration:
         # one walk per budget, checked against the pinned totals and,
         # shape by shape, against the generating-function counts
         totals = [2, 3, 3, 5, 8, 14, 38, 64, 120, 241, 489, 996,
-                  2079, 4263, 8812, 18223, 37742]
+                  2079, 4263, 8812, 18223, 37742, 78097]
         for c, total in enumerate(totals):
             entries = sf.enumerate_nonorientable_closed(c)
             assert len(entries) == total
@@ -183,6 +183,9 @@ class TestIngest:
     @pytest.mark.parametrize("line,fragment", [
         ("bad line without tabs", "4 tab-separated fields"),
         ("a\t{0;(n1,1,(0,0));(|);}\tx\tnormalized", "not an integer"),
+        ("a\t{0;(n1,1,(0,0));(|);}\t1_0\tnormalized", "not an integer"),
+        ("a\t{0;(n1,1,(0,0));(|);}\t1\uff10\tnormalized", "not an integer"),
+        ("a\t{0;(n1,1,(0,0));(|);}\t\u0663\tnormalized", "not an integer"),
         ("a\t{0;(n1,1,(0,0));(|);}\t-1\tnormalized", "non-negative"),
         ("a\t{0;(n1,1,(0,0));(|);}\t1\tregina", "unknown convention"),
         ("a\t{0;(n1,1,(0,0));(|)}\t1\tnormalized", "parse error"),

@@ -162,6 +162,14 @@ class TestCensusCommands:
         code, _, err = run(capsys, "census", "check", "--file", str(table))
         assert code == 2 and "line 1" in err
 
+    def test_check_skips_a_byte_order_mark(self, capsys, tmp_path):
+        table = tmp_path / "table.tsv"
+        table.write_bytes(b"\xef\xbb\xbf# exported with a BOM\n"
+                          b"RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\n")
+        code, out, _ = run(capsys, "census", "check", "--file", str(table))
+        assert code == 0
+        assert out.startswith("RP2xS1\t{0;(n1,1,(0,0));(|);}\t")
+
     def test_check_missing_file_is_one(self, capsys, tmp_path):
         code, _, _ = run(capsys, "census", "check", "--file",
                          str(tmp_path / "absent.tsv"))

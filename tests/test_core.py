@@ -1,3 +1,4 @@
+import pickle
 from math import gcd
 from random import Random
 
@@ -153,6 +154,48 @@ class TestOrbifoldSummary:
     def test_projective_plane_base(self):
         summary = sf.orbifold_summary(sf.parse_params("{1;(n1,1,(0,0));(|);}"))
         assert summary == sf.OrbifoldSummary(1, False, (), 0, 0, 0, 0)
+
+
+class TestSeifertParamsValue:
+    FIELDS = (1, sf.Epsilon.N3, 2, 1, 1, (0,), (2,), ((3, 1), (5, 2)))
+
+    def test_sequences_are_stored_as_tuples(self):
+        P = sf.SeifertParams(1, sf.Epsilon.N3, 2, 1, 1, [0], [2],
+                             [[3, 1], [5, 2]])
+        assert type(P.hplus) is tuple and type(P.kminus) is tuple
+        assert type(P.pairs) is tuple
+        assert all(type(pq) is tuple for pq in P.pairs)
+        assert P == sf.SeifertParams(*self.FIELDS)
+
+    def test_normalized_equals_and_hashes_like_plain(self):
+        P = sf.SeifertParams(*self.FIELDS)
+        N = sf.NormalizedSeifertParams(*self.FIELDS)
+        assert P == N and N == P
+        assert hash(P) == hash(N)
+        assert len({P, N}) == 1
+
+    def test_fields_cannot_be_set(self):
+        for P in (sf.SeifertParams(*self.FIELDS),
+                  sf.NormalizedSeifertParams(*self.FIELDS)):
+            with pytest.raises(AttributeError):
+                P.b = 0
+            with pytest.raises(AttributeError):
+                P.pairs = ()
+
+    def test_instances_carry_no_dict(self):
+        for cls in (sf.SeifertParams, sf.NormalizedSeifertParams):
+            assert not hasattr(cls(*self.FIELDS), "__dict__")
+
+    def test_pickle_keeps_the_class(self):
+        for cls in (sf.SeifertParams, sf.NormalizedSeifertParams):
+            P = pickle.loads(pickle.dumps(cls(*self.FIELDS)))
+            assert type(P) is cls
+            assert P == cls(*self.FIELDS)
+
+    def test_repr_is_pinned(self):
+        assert repr(sf.NormalizedSeifertParams(*self.FIELDS)) == (
+            "NormalizedSeifertParams(b=1, epsilon=<Epsilon.N3: 'n3'>, g=2, "
+            "t=1, k=1, hplus=(0,), kminus=(2,), pairs=((3, 1), (5, 2)))")
 
 
 class TestFibredSolidTorusType:

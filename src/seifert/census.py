@@ -32,16 +32,17 @@ External census tables are read from TSV, one record per line:
     name <TAB> params <TAB> complexity <TAB> convention
 
 with ``convention`` one of ``normalized`` or ``burton``; ``#`` comment
-lines and blank lines are skipped.  ``compare`` then grades the bound
-against each recorded complexity.
+lines and blank lines are skipped, and so is a byte-order mark at the
+start of the first line.  ``compare`` then grades the bound against each
+recorded complexity.  Records, rows and reports are immutable named
+tuples, like the records of ``core``.
 """
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .complexity import _closed_nonorientable_general, upper_bound
 from .core import (
@@ -59,8 +60,7 @@ from .notation import format_params, parse_params
 CONVENTIONS = ("normalized", "burton")
 
 
-@dataclass(frozen=True)
-class CensusRecord:
+class CensusRecord(NamedTuple):
     """One row of an external census table."""
 
     name: str
@@ -69,8 +69,7 @@ class CensusRecord:
     convention: str
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     name: str
     normalized: NormalizedSeifertParams
     recorded: int
@@ -78,8 +77,7 @@ class ComparisonRow:
     status: str  # "sharp" | "overestimate(by n)" | "violation"
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Sharpness of the bound against a census table.
 
     A violation (bound below the recorded complexity) would contradict an
@@ -193,13 +191,16 @@ class CensusFormatError(ValueError):
 def ingest_census(source: Iterable[str] | str) -> list[CensusRecord]:
     """Parse a census table.  Every row is normalized on the way in, which
     converts burton-convention rows, so ``CensusRecord.params`` is the
-    canonical form under both conventions."""
+    canonical form under both conventions.  A byte-order mark (U+FEFF)
+    at the start of the first line is skipped."""
     if isinstance(source, str):
         # split where a file read in text mode would: at \n, \r\n and \r
         source = io.StringIO(source, newline=None)
     records = []
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\r\n")
+        if lineno == 1:
+            line = line.removeprefix("\ufeff")
         if not line.strip() or line.lstrip().startswith("#"):
             continue
         fields = line.split("\t")

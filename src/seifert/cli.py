@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
 from typing import Iterator
 
 from .census import (
@@ -30,7 +29,6 @@ from .complexity import (
     upper_bound,
 )
 from .core import (
-    ComplexityBound,
     NormalizedSeifertParams,
     boundary_profile,
     euler_char_base,
@@ -83,15 +81,6 @@ def _parse_valid(text: str) -> NormalizedSeifertParams:
             "invalid parameters:\n  " + "\n  ".join(validate(params))) from exc
 
 
-def _bound_doc(bound: ComplexityBound) -> dict:
-    return {
-        "value": bound.value,
-        "case_tag": bound.case_tag.value,
-        "exact": bound.exact,
-        "label": bound.label,
-    }
-
-
 def _emit(args, doc: dict, lines: list[str]) -> None:
     if args.json:
         print(json.dumps(doc, indent=2))
@@ -123,7 +112,7 @@ def _cmd_bound(args) -> int:
     bound = upper_bound(P)
     note = sharper_bound_note(P)
     doc = {"params": args.params, "normalized": format_params(P),
-           **_bound_doc(bound), "note": note}
+           **bound._asdict(), "note": note}
     lines = [
         f"normalized: {format_params(P)}",
         f"value: {bound.value}",
@@ -158,8 +147,8 @@ def _cmd_info(args) -> int:
         "orientable": is_orientable(P),
         "closed": is_closed(P),
         "euler_char_base": euler_char_base(P),
-        "boundary_profile": asdict(profile),
-        "orbifold_summary": asdict(orbifold),
+        "boundary_profile": profile._asdict(),
+        "orbifold_summary": orbifold._asdict(),
     }
     cone = ",".join(f"({p},{q})" for p, q in orbifold.cone_points) or "none"
     lines = [
@@ -247,7 +236,7 @@ def _report_doc(report: ComparisonReport) -> dict:
             "name": row.name,
             "normalized": format_params(row.normalized),
             "recorded": row.recorded,
-            "bound": _bound_doc(row.bound),
+            "bound": row.bound._asdict(),
             "status": row.status,
         } for row in report.rows],
         "summary": {
@@ -275,7 +264,7 @@ def _utf8_lines(handle):
 
 def _cmd_census_check(args) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8-sig",
+        with open(args.file, "r", encoding="utf-8",
                   errors="surrogateescape") as handle:
             records = ingest_census(_utf8_lines(handle))
     except OSError as exc:

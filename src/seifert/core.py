@@ -21,13 +21,17 @@ where
 Raw parameter sets may carry (1,q) pairs, out-of-range q_j and arbitrary
 b; the ``normal_form`` module reduces them to the unique canonical form.
 Everything in this module is a direct read of the parameter set.
+
+Every record here is an immutable named tuple: equality and hashing are
+by value, ``_asdict()`` gives the fields in declared order and
+``_replace()`` a changed copy.
 """
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
 from math import gcd
+from typing import NamedTuple
 
 
 class Epsilon(str, Enum):
@@ -121,22 +125,26 @@ class NormalizedSeifertParams(SeifertParams):
     __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FibredSolidTorusType:
-    """Type (p, r) of a fibred solid torus: D x I glued by a 2*pi*r/p turn."""
+class FibredSolidTorusType(namedtuple("FibredSolidTorusType", "p r")):
+    """Type (p, r) of a fibred solid torus: D x I glued by a 2*pi*r/p turn.
 
-    p: int
-    r: int
+    ``_make``, and so ``_replace``, goes through the same checks."""
 
-    def __post_init__(self) -> None:
-        if self.p <= 0:
-            raise ValueError(f"p must be positive, got {self.p}")
-        if gcd(self.p, self.r) != 1:
-            raise ValueError(f"(p, r) = ({self.p}, {self.r}) must be coprime")
+    __slots__ = ()
+
+    def __new__(cls, p: int, r: int):
+        if p <= 0:
+            raise ValueError(f"p must be positive, got {p}")
+        if gcd(p, r) != 1:
+            raise ValueError(f"(p, r) = ({p}, {r}) must be coprime")
+        return tuple.__new__(cls, (p, r))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class BoundaryProfile:
+class BoundaryProfile(NamedTuple):
     """Census of the boundary components of the fibred space."""
 
     tori: int
@@ -145,8 +153,7 @@ class BoundaryProfile:
     exceptional_annuli: int  # t'
 
 
-@dataclass(frozen=True)
-class OrbifoldSummary:
+class OrbifoldSummary(NamedTuple):
     """The base orbifold: underlying surface plus its singular locus."""
 
     genus: int
@@ -173,8 +180,7 @@ class CaseTag(str, Enum):
     CLOSED_NONORIENTABLE_GENERAL = "ClosedNonorientableGeneral"
 
 
-@dataclass(frozen=True)
-class ComplexityBound:
+class ComplexityBound(NamedTuple):
     """An upper bound for the complexity (true vertices of a minimal
     almost simple spine).  ``exact`` is set only where equality is
     guaranteed, never merely because a general formula evaluated to 0."""

@@ -131,6 +131,7 @@ RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tnormalized
 S2~S1\t{0;(o1,0,(1,0));(|);}\t0\tnormalized
 X\t{0;(n3,2,(0,0));(|);((3,2))}\t10\tburton
 """
+ROWS = CENSUS_TEXT.split("\n", 1)[1]  # the table without its comment line
 
 
 class TestIngest:
@@ -158,6 +159,22 @@ class TestIngest:
         with open(path, encoding="utf-8") as handle:
             records = sf.ingest_census(handle)
         assert len(records) == 3
+
+    def test_byte_order_mark_before_a_comment(self):
+        records = sf.ingest_census("\ufeff# exported with a BOM\n"
+                                   + CENSUS_TEXT)
+        assert records == sf.ingest_census(CENSUS_TEXT)
+
+    def test_byte_order_mark_before_a_row(self):
+        records = sf.ingest_census("\ufeff" + ROWS)
+        assert [r.name for r in records] == ["RP2xS1", "S2~S1", "X"]
+
+    def test_byte_order_mark_in_a_plain_utf8_file(self, tmp_path):
+        path = tmp_path / "census.tsv"
+        path.write_bytes(b"\xef\xbb\xbf" + ROWS.encode())
+        with open(path, encoding="utf-8") as handle:
+            records = sf.ingest_census(handle)
+        assert [r.name for r in records] == ["RP2xS1", "S2~S1", "X"]
 
     def test_string_splits_like_a_file(self, tmp_path):
         # form feed, \x1c and U+2028 end a line for str.splitlines but

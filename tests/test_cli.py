@@ -75,6 +75,74 @@ class TestBasicCommands:
         code, _, err = run(capsys, "conjecture", "{3;(o1,0,(0,0));(|);}")
         assert code == 2
 
+    def test_bound_json_is_pinned(self, capsys):
+        # the record fields appear in their declared order
+        code, out, err = run(capsys, "bound", "--json",
+                             "{-2;(o1,0,(0,0));(|);((3,1))}")
+        assert code == 0 and err == ""
+        assert out == """\
+{
+  "params": "{-2;(o1,0,(0,0));(|);((3,1))}",
+  "normalized": "{1;(o1,0,(0,0));(|);((3,2))}",
+  "value": 1,
+  "case_tag": "Lens_bpq",
+  "exact": false,
+  "label": "L(5,2)",
+  "note": null
+}
+"""
+
+    def test_info_json_is_pinned(self, capsys):
+        code, out, err = run(capsys, "info", "--json",
+                             "{0;(n,2,(1,1));(0|2);((3,1),(5,2))}")
+        assert code == 0 and err == ""
+        assert out == """\
+{
+  "params": "{0;(n,2,(1,1));(0|2);((3,1),(5,2))}",
+  "normalized": "{0;(n,2,(1,1));(0|2);((3,1),(5,2))}",
+  "orientable": false,
+  "closed": false,
+  "euler_char_base": 0,
+  "boundary_profile": {
+    "tori": 1,
+    "klein_regular": 0,
+    "klein_with_exceptional": 2,
+    "exceptional_annuli": 2
+  },
+  "orbifold_summary": {
+    "genus": 2,
+    "orientable_base": false,
+    "cone_points": [
+      [
+        3,
+        1
+      ],
+      [
+        5,
+        2
+      ]
+    ],
+    "reflector_circles": 1,
+    "reflector_arcs": 2,
+    "underlying_boundary_components": 3,
+    "minus_decorations": 2
+  }
+}
+"""
+
+    def test_import_loads_no_introspection_modules(self):
+        # a one-shot call pays for every module the CLI imports
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                  "import seifert.cli; "
+                  "print(' '.join(sorted(sys.modules)))")
+        out = subprocess.run([sys.executable, "-S", "-c", script, str(src)],
+                             capture_output=True, text=True, check=True,
+                             timeout=60).stdout.split()
+        assert "seifert.cli" in out
+        loaded = {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(out)
+        assert loaded == set()
+
 
 class TestExitCodes:
     def test_parse_error_is_one(self, capsys):

@@ -198,12 +198,64 @@ class TestSeifertParamsValue:
             "t=1, k=1, hplus=(0,), kminus=(2,), pairs=((3, 1), (5, 2)))")
 
 
+def _record_instances():
+    # one instance of each record type, built afresh on every call
+    P = sf.NormalizedSeifertParams(0, sf.Epsilon.N1, 1, 0, 0)
+    bound = sf.ComplexityBound(1, sf.CaseTag.RP2_X_S1, True, "RP2xS1")
+    row = sf.ComparisonRow("RP2xS1", P, 1, bound, "sharp")
+    return [
+        bound,
+        sf.boundary_profile(sf.parse_params("{0;(n,2,(1,1));(0|2);}")),
+        sf.orbifold_summary(sf.parse_params("{0;(o1,0,(0,0));(|);((3,1))}")),
+        sf.FibredSolidTorusType(5, 2),
+        sf.CensusRecord("RP2xS1", P, 1, "normalized"),
+        row,
+        sf.ComparisonReport((row,), 1, (), 0, ("a note",)),
+    ]
+
+
+class TestRecordsAreValues:
+    def test_fields_cannot_be_set(self):
+        first_fields = ("value", "tori", "genus", "p", "name", "name", "rows")
+        for record, field in zip(_record_instances(), first_fields):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 0)
+
+    def test_equal_records_hash_alike(self):
+        for left, right in zip(_record_instances(), _record_instances()):
+            assert left is not right
+            assert left == right and hash(left) == hash(right)
+
+    def test_defaults(self):
+        bound = sf.ComplexityBound(3, sf.CaseTag.BORDERED_GENERAL)
+        assert bound.exact is False and bound.label is None
+
+    def test_repr_is_pinned(self):
+        assert repr(sf.ComplexityBound(1, sf.CaseTag.LENS_BPQ, False,
+                                       "L(5,2)")) == (
+            "ComplexityBound(value=1, case_tag=<CaseTag.LENS_BPQ: "
+            "'Lens_bpq'>, exact=False, label='L(5,2)')")
+        record = sf.ingest_census("RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tburton\n")
+        assert repr(record[0]) == (
+            "CensusRecord(name='RP2xS1', params=NormalizedSeifertParams("
+            "b=0, epsilon=<Epsilon.N1: 'n1'>, g=1, t=0, k=0, hplus=(), "
+            "kminus=(), pairs=()), complexity=1, convention='burton')")
+
+
 class TestFibredSolidTorusType:
     def test_rejects_non_coprime(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^\(p, r\) = \(4, 2\) must be coprime$"):
             sf.FibredSolidTorusType(4, 2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^p must be positive, got 0$"):
             sf.FibredSolidTorusType(0, 1)
+
+    def test_replace_checks_too(self):
+        T = sf.FibredSolidTorusType(5, 2)
+        assert T._replace(r=3) == sf.FibredSolidTorusType(5, 3)
+        with pytest.raises(ValueError, match="must be coprime"):
+            T._replace(p=4)
+        with pytest.raises(ValueError, match="must be positive"):
+            T._make((0, 1))
 
     def test_accepts_trivial(self):
         assert sf.FibredSolidTorusType(1, 0).p == 1

@@ -291,15 +291,16 @@ def _cmd_census_check(args) -> int:
 
 
 def _budget(text: str) -> int:
-    """argparse type of --cmax: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0, got {text!r}")
-    return value
+    """argparse type of --cmax: an integer >= 0 in ASCII digits only;
+    int() alone would also read a sign, padding, "_" and the digits of
+    other scripts."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text)
+        except ValueError:  # more digits than int() reads
+            pass
+    raise argparse.ArgumentTypeError(
+        f"expected an integer >= 0, got {text!r}")
 
 
 def _gen_budget(text: str) -> int:

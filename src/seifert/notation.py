@@ -9,17 +9,63 @@ Grammar (whitespace between tokens is ignored):
     pairlist := "(" pair ("," pair)* ")"
     pair     := "(" int "," int ")"
 
+``parse_params`` accepts input with one regular expression of this
+grammar (``_PATTERN``, compiled on first use so that importing the
+package does not pay for it), then reads each list with one ``findall``.
+Input the pattern refuses, and an eps word that is not one of the eight,
+goes to ``_Scanner``, the token-by-token reader that is the one place a
+``ParseError`` is raised, at the offset of the first bad token.  So does
+input longer than ``_digit_cap()``, the cap on the digits of all
+integers of one input together: text within that length cannot hold
+more digits than the cap, so only the scanner has to count them.
+
 ``format_params`` emits the canonical spelling (no whitespace), so
 ``parse_params(format_params(x)) == x`` for every valid x.
 """
 from __future__ import annotations
 
+import functools
+import re
 import sys
 
 from .core import Epsilon, SeifertParams
 
 _DIGITS = "0123456789"
 _EPS_CHARS = "on1234"
+_EPSILONS = {eps.value: eps for eps in Epsilon}
+
+# int() and str() refuse more digits than sys.get_int_max_str_digits()
+# (0: no limit; Python 3.10 has no limit and no such function).  Capping
+# the digits of all integers of one input together at half of it keeps
+# every printed value within it: the largest, b*p + q of a lens label
+# after b has absorbed the other pairs, has at most twice as many.
+_int_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _digit_cap() -> int:
+    """The cap on the digits of one input, 0 for none.  Read on every
+    call, because a program may change the limit after import."""
+    return _int_max_str_digits() // 2
+
+
+# The grammar above as one pattern.  Every token takes the whitespace
+# after it, so no two \s* meet and a refused input is refused in linear
+# time.  [0-9], not \d, which also takes other scripts' digits; \s takes
+# exactly the characters of str.isspace(), as the scanner does.
+_PAIR = r"\(\s*-?[0-9]+\s*,\s*-?[0-9]+\s*\)\s*"
+_NATLIST = r"((?:[0-9]+\s*(?:,\s*[0-9]+\s*)*)?)"
+_PATTERN = (
+    r"\s*\{\s*(-?[0-9]+)\s*;\s*"
+    r"\(\s*([on1-4]+)\s*,\s*([0-9]+)\s*,"
+    r"\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)\s*\)\s*;\s*"
+    rf"\(\s*{_NATLIST}\|\s*{_NATLIST}\)\s*;\s*"
+    rf"(?:\(\s*({_PAIR}(?:,\s*{_PAIR})*)\)\s*)?\}}\s*")
+
+
+@functools.cache
+def _matchers():
+    """The ``fullmatch`` of ``_PATTERN`` and the ``findall`` of an integer."""
+    return re.compile(_PATTERN).fullmatch, re.compile(r"-?[0-9]+").findall
 
 
 class ParseError(ValueError):
@@ -35,7 +81,7 @@ class _Scanner:
         self.text = text
         self.pos = 0
         self.digits = 0
-        self.digit_cap = getattr(sys, "get_int_max_str_digits", lambda: 0)() // 2
+        self.digit_cap = _digit_cap()
 
     def _skip_ws(self) -> None:
         while self.pos < len(self.text) and self.text[self.pos].isspace():
@@ -74,11 +120,6 @@ class _Scanner:
         return self._value(start)
 
     def _value(self, start: int) -> int:
-        # int() and str() refuse more digits than
-        # sys.get_int_max_str_digits() (0: no limit).  Capping the digits
-        # of all integers of the input together at half of it keeps every
-        # printed value within it: the largest, b*p + q of a lens label
-        # after b has absorbed the other pairs, has at most twice as many.
         self.digits += self.pos - start
         if self.digit_cap and self.digits > self.digit_cap:
             raise ParseError(
@@ -135,6 +176,27 @@ class _Scanner:
 def parse_params(text: str) -> SeifertParams:
     """Parse bracket notation into a (structurally faithful, unvalidated)
     parameter set."""
+    cap = _digit_cap()
+    if not cap or len(text) <= cap:
+        fullmatch, findall = _matchers()
+        match = fullmatch(text)
+        if match is not None:
+            b, eps, g, t, k, hplus, kminus, pairs = match.groups()
+            epsilon = _EPSILONS.get(eps)
+            if epsilon is not None:
+                # p, q, p, q, ...: zip takes two of one iterator at a time
+                ends = map(int, findall(pairs)) if pairs else ()
+                return SeifertParams(
+                    int(b), epsilon, int(g), int(t), int(k),
+                    map(int, findall(hplus)) if hplus else (),
+                    map(int, findall(kminus)) if kminus else (),
+                    zip(ends, ends))
+    return _scan_params(text)
+
+
+def _scan_params(text: str) -> SeifertParams:
+    """``parse_params`` token by token, raising ``ParseError`` at the
+    first bad token."""
     s = _Scanner(text)
     s.expect("{")
     b = s.integer()

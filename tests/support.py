@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 from itertools import combinations_with_replacement
@@ -57,6 +58,89 @@ def random_valid(rng: Random) -> sf.SeifertParams:
     params = sf.SeifertParams(b, eps, g, t, k, hplus, kminus, pairs)
     assert not sf.validate(params)
     return params
+
+
+# characters the parser skips between tokens: str.isspace() is true for
+# each, the ones beyond ASCII included
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1f\x85\u00a0\u2028\u3000"
+
+# one token of a spelling: an integer, an eps word or one character
+SPELLING_TOKEN = re.compile(r"-?[0-9]+|[on][0-9]*|.", re.DOTALL)
+
+# characters a mutation inserts: the grammar's own, a sign, whitespace,
+# digits of other scripts (full-width, Arabic-Indic) and "_"
+MUTATION_CHARS = "{}();,|-+0123456789on5 \u00a0\uff11\u0663_"
+
+# spellings at the edges of the grammar: -0 and leading zeros are read,
+# the others refused
+ODD_SPELLINGS = [
+    "{-0;(n1,1,(0,0));(|);((3,-0))}", "{007;(n1,01,(0,0));(00|);}",
+    "", "()", "( , |)", "{}", "{0;(n1,1,(0,0));(|);}}",
+    "{--1;(n1,1,(0,0));(|);}", "{+1;(n1,1,(0,0));(|);}",
+    "{- 1;(n1,1,(0,0));(|);}", "{0;(n1,1,(0,0));(|);((3,--1))}",
+    "{0;(o12,0,(0,0));(|);}", "{0;(n5,1,(0,0));(|);}",
+    "{0;(,1,(0,0));(|);}", "{0;(n 1,1,(0,0));(|);}",
+    "{0;(N1,1,(0,0));(|);}", "{0;(n1,-1,(0,0));(|);}",
+    "{\uff11;(n1,1,(0,0));(|);}", "{0;(n1,\uff11,(0,0));(|);}",
+    "{\u0663;(n1,1,(0,0));(|);}", "{0;(n1,1,(0,0));(|\u0663);}",
+    "{0;(n1,1,(0,0));(|);((\u0663,1))}", "{1_0;(n1,1,(0,0));(|);}",
+    "{0;(n1,1,(0,0));(|);()}", "{0;(n1,1,(0,0));(1,|);}",
+    "{0;(n1,1,(0,0));(|);((3,1),)}", "{0;(n1,1,(0,0));(|);(3,1)}",
+    "{0;(n1,1,(0,0));(|)}", "{0;(n1,1,(0,0));(|);",
+]
+
+
+def respaced(rng: Random, text: str) -> str:
+    """text with a random run of whitespace, often empty, before each
+    token and at the end."""
+    def run() -> str:
+        return "".join(rng.choices(WHITESPACE, k=rng.choice((0, 0, 1, 2))))
+    return "".join(run() + token
+                   for token in SPELLING_TOKEN.findall(text)) + run()
+
+
+def mutated(rng: Random, text: str) -> str:
+    """text with one character dropped, inserted or replaced."""
+    i = rng.randrange(len(text) + 1)
+    kind = rng.randrange(3)
+    if kind == 0:
+        return text[:i] + text[i + 1:]
+    char = rng.choice(MUTATION_CHARS)
+    return text[:i] + char + text[i + (kind == 2):]
+
+
+def with_epsilon(text: str, word: str) -> str:
+    """text with its eps word replaced by word."""
+    return re.sub(r"\((?:o|n)[0-9]*,", f"({word},", text, count=1)
+
+
+def near_digit_cap() -> list[str]:
+    """Valid and invalid spellings around the parser's digit cap, half of
+    int_digit_limit(): text just within and just beyond that length, and
+    integers with just within and just beyond that many digits in all."""
+    cap = int_digit_limit() // 2
+    if not cap:
+        return []
+    template = "{%s;(n1,1,(0,0));(|);}"
+    fill = cap - len(template % "")
+    spellings = [template % ("9" * n) for n in (fill, fill + 1)]
+    spellings += [template % ("9" * n) for n in (cap - 3, cap - 2)]
+    spellings.append(" " * cap + template % "0")
+    spellings.append(template.replace("}", "((3,%s))}")
+                     % ("1", "-" + "7" * (cap - 5)))
+    spellings.append(template.replace("}", "((3,%s))}")
+                     % ("1", "-" + "7" * (cap - 4)))
+    return spellings
+
+
+def parse_outcome(parse, text: str) -> tuple:
+    """What parse makes of text: the class and value it returns, or the
+    message and offset of the ParseError it raises."""
+    try:
+        value = parse(text)
+    except sf.ParseError as exc:
+        return "error", str(exc), exc.pos
+    return "value", type(value), value
 
 
 def plain(P: sf.SeifertParams) -> sf.SeifertParams:

@@ -372,6 +372,12 @@ class TestHostileInput:
         ("census", "gen", "--cmax", "-3"),
         ("census", "check", "--file", "table.tsv", "--cmax", "-1"),
         ("census", "gen", "--cmax", "ten"),
+    ] + [
+        # int() reads each of these as 10
+        (*command, "--cmax", budget)
+        for command in [("census", "gen"),
+                        ("census", "check", "--file", "table.tsv")]
+        for budget in ["1_0", "\u0661\u0660", "+10", " 10"]
     ])
     def test_budget_must_be_a_non_negative_integer(self, capsys, argv):
         code, out, err = run(capsys, *argv)

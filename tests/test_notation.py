@@ -1,9 +1,13 @@
+import sys
 from random import Random
 
 import pytest
 
 import seifert as sf
-from support import PAPER_PARAM_STRINGS, int_digit_limit, random_valid
+from seifert.notation import _scan_params
+from support import (ODD_SPELLINGS, PAPER_PARAM_STRINGS, int_digit_limit,
+                     mutated, near_digit_cap, parse_outcome, random_valid,
+                     respaced, with_epsilon)
 
 
 class TestParse:
@@ -74,6 +78,64 @@ class TestParse:
             sf.parse_params(text)
         assert err.value.pos == text.index("(3,1)") + 1
         assert "too many digits" in str(err.value)
+
+    @pytest.mark.skipif(not int_digit_limit(), reason="int() reads any length")
+    def test_digit_cap_follows_a_limit_set_after_import(self):
+        # 400 digits fit the default cap but not half of the lowest limit
+        limit = int_digit_limit()
+        text = "{%s;(n1,1,(0,0));(|);}" % ("9" * 400)
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(sf.ParseError) as err:
+                sf.parse_params(text)
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert err.value.pos == 1
+        assert "too many digits (at most 320 in all)" in str(err.value)
+
+
+class TestPatternAgreesWithScanner:
+    """parse_params reads well-formed text with one pattern and leaves
+    everything else to the scanner; both must give the same answer."""
+
+    def test_seeded_corpus(self):
+        rng = Random(29)
+        corpus = list(ODD_SPELLINGS) + near_digit_cap()
+        for _ in range(1500):
+            text = sf.format_params(random_valid(rng))
+            corpus += [text, respaced(rng, text), mutated(rng, text),
+                       mutated(rng, respaced(rng, text)),
+                       with_epsilon(text, rng.choice(
+                           ["o12", "n5", "o3", "n0", "on", "oo1", ""]))]
+        kinds = []
+        for text in corpus:
+            outcome = parse_outcome(sf.parse_params, text)
+            assert outcome == parse_outcome(_scan_params, text), text
+            assert outcome[0] == "error" or outcome[1] is sf.SeifertParams
+            kinds.append(outcome[0])
+        # the corpus reaches both answers, each many times
+        assert kinds.count("value") > 3000 and kinds.count("error") > 3000
+
+
+class TestFastPath:
+    def test_well_formed_text_never_reaches_the_scanner(self, monkeypatch):
+        # a change to the pattern that refuses good input would still
+        # parse it, slowly, through the scanner; this makes it fail
+        class NoScanner:
+            def __init__(self, text):
+                raise AssertionError(f"scanner used for {text!r}")
+
+        monkeypatch.setattr("seifert.notation._Scanner", NoScanner)
+        for P, _ in sf.enumerate_nonorientable_closed(12):
+            assert sf.parse_params(sf.format_params(P)) == P
+        rng = Random(31)
+        for _ in range(400):
+            params = random_valid(rng)
+            if rng.random() < 0.5:
+                params = sf.insert_unit_pair(params, rng.randrange(-3, 4))
+            text = sf.format_params(params)
+            assert sf.parse_params(text) == params
+            assert sf.parse_params(respaced(rng, text)) == params
 
 
 class TestFormat:

@@ -12,6 +12,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import seifert as sf  # noqa: E402
+from seifert.notation import _scan_params  # noqa: E402
+from support import (ODD_SPELLINGS, SPELLING_TOKEN, WHITESPACE,  # noqa: E402
+                     near_digit_cap, parse_outcome, with_epsilon)
 
 # Fresh examples on every run: the seeded loops are the repeatable part.
 # No deadline, because timings on a loaded machine are not the property;
@@ -72,6 +75,33 @@ def mutated_spellings(draw):
     return text[:i] + draw(st.sampled_from(GRAMMAR_CHARS)) + text[i:]
 
 
+@st.composite
+def respaced_spellings(draw):
+    # a valid spelling with whitespace, str.isspace() beyond ASCII
+    # included, before each token
+    text = sf.format_params(draw(valid_params()))
+    runs = st.text(alphabet=WHITESPACE, max_size=2)
+    return "".join(draw(runs) + token
+                   for token in SPELLING_TOKEN.findall(text)) + draw(runs)
+
+
+@st.composite
+def foreign_digit_spellings(draw):
+    # a valid spelling with one ASCII digit written in another script
+    # (full-width, Arabic-Indic, Devanagari), which int() would read
+    text = sf.format_params(draw(valid_params()))
+    i = draw(st.sampled_from(
+        [i for i, ch in enumerate(text) if ch.isdigit()]))
+    zero = draw(st.sampled_from([0xFF10, 0x0660, 0x0966]))
+    return text[:i] + chr(zero + int(text[i])) + text[i + 1:]
+
+
+@st.composite
+def unknown_epsilon_spellings(draw):
+    return with_epsilon(sf.format_params(draw(valid_params())),
+                        draw(st.text(alphabet="on0123456789", max_size=3)))
+
+
 MOVES = st.lists(st.tuples(
     st.sampled_from(["insert", "twist", "mirror", "reflect", "absorb"]),
     st.integers(0, 5),
@@ -105,6 +135,21 @@ def test_parse_raises_only_parse_error(text):
         sf.parse_params(text)
     except sf.ParseError:
         pass
+
+
+@PROPERTY
+@given(st.one_of(
+    valid_params().map(sf.format_params), respaced_spellings(),
+    mutated_spellings(), foreign_digit_spellings(),
+    unknown_epsilon_spellings(),
+    st.sampled_from(ODD_SPELLINGS + near_digit_cap()),
+    st.text(alphabet=GRAMMAR_CHARS + WHITESPACE, max_size=60)))
+def test_pattern_agrees_with_scanner(text):
+    # the one-pattern reading of parse_params against the scanner alone:
+    # the same class and value, or the same ParseError at the same offset
+    outcome = parse_outcome(sf.parse_params, text)
+    assert outcome == parse_outcome(_scan_params, text)
+    assert outcome[0] == "error" or outcome[1] is sf.SeifertParams
 
 
 @PROPERTY

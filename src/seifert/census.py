@@ -27,6 +27,11 @@ each fibre-term sum sum_j (S(p_j,q_j) + 1) within the budget; the special
 fibrations all have no pairs, so only pairless entries go through
 ``upper_bound``.
 
+An entry is printed as the head of its shape and b, which is the printed
+pairless set ``format_params(shape with b)`` less its closing brace,
+followed by its pair list and "}".  So ``format_params`` is called once
+per shape and b, and the spelling still has one home in ``notation``.
+
 External census tables are read from TSV, one record per line:
 
     name <TAB> params <TAB> complexity <TAB> convention
@@ -55,7 +60,7 @@ from .core import (
     validate,
 )
 from .normal_form import normalize
-from .notation import format_params, parse_params
+from .notation import _format_pairs, format_params, parse_params
 
 CONVENTIONS = ("normalized", "burton")
 
@@ -133,13 +138,13 @@ def _pair_multisets(pool: list[tuple[int, tuple[int, int]]],
     yield from rec(0, 0)
 
 
-def _census_entries(
-        c_max: int) -> Iterator[tuple[str, NormalizedSeifertParams, ComplexityBound]]:
-    # (printed form, entry, bound) for every census entry, unordered,
-    # built canonical by the rules of the module docstring.  Each pair
-    # costs S(p,q) + 1 in the bound; outside o1/n2 a fibre-reversing
-    # curve turns q into p - q, so those take q <= p/2.  The walk needs
-    # the pool sorted by cost only.
+def _census_entries(c_max: int) -> Iterator[
+        tuple[str, ComplexityBound, int, SeifertParams, tuple[tuple[int, int], ...]]]:
+    # (printed form, bound, b, shape, pairs) for every census entry,
+    # unordered, built canonical by the rules of the module docstring.
+    # Each pair costs S(p,q) + 1 in the bound; outside o1/n2 a
+    # fibre-reversing curve turns q into p - q, so those take q <= p/2.
+    # The walk needs the pool sorted by cost only.
     full = sorted(((s + 1, (p, q)) for s, p, q in _pairs_with_cf_sum(c_max - 1)),
                   key=itemgetter(0))
     half = [item for item in full if 2 * item[1][1] <= item[1][0]]
@@ -153,31 +158,41 @@ def _census_entries(
         room = c_max - _closed_nonorientable_general(shape, 0).value
         if room < 0 or validate(shape) or is_orientable(shape):
             continue
-        # bounds[s]: the one bound of the shape's entries whose pairs cost s
+        # bounds[s]: the one bound of the shape's entries whose pairs cost
+        # s, and it fits, as s <= room
         bounds = [_closed_nonorientable_general(shape, s) for s in range(room + 1)]
+        # heads[b]: the printed pairless set less its "}"; b = 1 only when
+        # t = 0
+        heads = [format_params(shape._replace(b=b))[:-1]
+                 for b in ((0,) if t else (0, 1))]
         mirror_only = eps in ORIENTABLE_AWAY_FROM_SE
         for spent, multiset in _pair_multisets(full if mirror_only else half,
                                                room):
             pairs = tuple(sorted(multiset))
+            if not pairs:
+                # the special fibrations, whose bound upper_bound knows
+                for b, head in enumerate(heads):
+                    bound = upper_bound(NormalizedSeifertParams(b, eps, g, t, k))
+                    if bound.value <= c_max:
+                        yield head + "}", bound, b, shape, pairs
+                continue
             if mirror_only and pairs > tuple(sorted((p, p - q) for p, q in pairs)):
                 continue
-            if t > 0 or any(p == 2 for p, _ in pairs):
-                b_options = (0,)
-            else:
-                b_options = (0, 1)
-            for b in b_options:
-                P = NormalizedSeifertParams(b, eps, g, t, k, (), (), pairs)
-                bound = bounds[spent] if pairs else upper_bound(P)
-                if bound.value <= c_max:
-                    yield format_params(P), P, bound
+            tail = _format_pairs(pairs) + "}"
+            yield heads[0] + tail, bounds[spent], 0, shape, pairs
+            # (2,1) is the least pair and the only one with p = 2
+            if t == 0 and pairs[0] != (2, 1):
+                yield heads[1] + tail, bounds[spent], 1, shape, pairs
 
 
 def enumerate_nonorientable_closed(
         c_max: int) -> list[tuple[NormalizedSeifertParams, ComplexityBound]]:
     """Every canonical closed non-orientable parameter set with bound
     <= c_max, with its bound, ordered by the printed normal form."""
-    entries = sorted(_census_entries(c_max), key=itemgetter(0))
-    return [(P, bound) for _, P, bound in entries]
+    return [(NormalizedSeifertParams(b, shape.epsilon, shape.g, shape.t,
+                                     shape.k, (), (), pairs), bound)
+            for _, bound, b, shape, pairs in sorted(_census_entries(c_max),
+                                                    key=itemgetter(0))]
 
 
 class CensusFormatError(ValueError):
@@ -213,11 +228,13 @@ def ingest_census(source: Iterable[str] | str) -> list[CensusRecord]:
         except ValueError as exc:
             raise CensusFormatError(lineno, str(exc)) from exc
         try:
-            # int() also reads "_" separators and non-ASCII digits
-            if "_" in complexity_text or not complexity_text.isascii():
+            # an optional "-" and ASCII digits only: int() would also read
+            # "+", padding, "_" separators and the digits of other scripts
+            digits = complexity_text.removeprefix("-")
+            if not (digits.isascii() and digits.isdigit()):
                 raise ValueError
             complexity = int(complexity_text)
-        except ValueError:
+        except ValueError:  # also more digits than int() reads
             raise CensusFormatError(
                 lineno, f"complexity is not an integer: {complexity_text!r}") from None
         if complexity < 0:

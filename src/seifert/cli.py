@@ -5,16 +5,18 @@ census gen, census check.  Default output is human-readable text;
 ``--json`` switches to a single JSON document whose field names mirror
 the library types.
 
+``json`` is imported only on the ``--json`` paths, so a one-shot text
+command does not load it.
+
 Exit codes: 0 success, 1 usage or parse error, 2 validation failure,
 3 census violation found.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .census import (
     CensusFormatError,
@@ -29,6 +31,7 @@ from .complexity import (
     upper_bound,
 )
 from .core import (
+    ComplexityBound,
     NormalizedSeifertParams,
     boundary_profile,
     euler_char_base,
@@ -47,9 +50,10 @@ EXIT_VIOLATION = 3
 
 # The census listing, its run time and its memory each grow about 2.07x
 # per unit of budget, and the pair pool alone holds 2^(c-2) pairs:
-# budget 20 lists 693,478 entries in about 10 s and 150 MB, so 24 needs
-# a few GB and a few minutes, and each step past it doubles both.  A
-# larger budget is refused rather than left to exhaust memory.
+# budget 20 lists 693,478 entries in about 4.5 s and 150 MB (--out, on a
+# 2-vCPU host), so 24 needs a few GB and over a minute, and each step
+# past it doubles both.  A larger budget is refused rather than left to
+# exhaust memory.
 _GEN_BUDGET_LIMIT = 24
 
 
@@ -83,6 +87,8 @@ def _parse_valid(text: str) -> NormalizedSeifertParams:
 
 def _emit(args, doc: dict, lines: list[str]) -> None:
     if args.json:
+        import json
+
         print(json.dumps(doc, indent=2))
     else:
         print("\n".join(lines))
@@ -188,28 +194,49 @@ def _cmd_conjecture(args) -> int:
     return EXIT_OK
 
 
+def _census_rows(cmax: int, prefix: str,
+                 columns: Callable[[ComplexityBound], str]) -> list[str]:
+    # prefix + printed form + columns(bound) for each census entry,
+    # sorted.  A census has few distinct bounds, one per shape and pair
+    # cost besides the special pairless ones, so each is spelled once.
+    spelled: dict[ComplexityBound, str] = {}
+    rows = []
+    for text, bound, _, _, _ in _census_entries(cmax):
+        tail = spelled.get(bound)
+        if tail is None:
+            tail = spelled[bound] = columns(bound)
+        rows.append(f"{prefix}{text}{tail}")
+    rows.sort()
+    return rows
+
+
 def _census_lines(args) -> Iterator[str]:
     if args.json:
+        import json
+
         # one JSON text per entry, in json.dumps(doc, indent=2) layout;
-        # the quote after the params text sorts below every printed
-        # character, so the rows sort as the texts do
+        # a printed form is ASCII without quotes or backslashes, so it
+        # is its own JSON string.  The quote after it sorts below every
+        # printed character, so the rows sort as the texts do.
         dumps = json.dumps
-        rows = sorted(f'    {{\n      "params": {dumps(text)},\n'
-                      f'      "value": {bound.value},\n'
-                      f'      "case_tag": {dumps(bound.case_tag.value)},\n'
-                      f'      "exact": {dumps(bound.exact)},\n'
-                      f'      "label": {dumps(bound.label)}\n    }}'
-                      for text, _, bound in _census_entries(args.cmax))
+        rows = _census_rows(
+            args.cmax, '    {\n      "params": "',
+            lambda bound: (f'",\n      "value": {bound.value},\n'
+                           f'      "case_tag": {dumps(bound.case_tag.value)},\n'
+                           f'      "exact": {dumps(bound.exact)},\n'
+                           f'      "label": {dumps(bound.label)}\n    }}'))
         yield (f'{{\n  "cmax": {args.cmax},\n  "count": {len(rows)},\n'
                f'  "entries": [\n')
         yield from (row + ",\n" for row in rows[:-1])
         yield rows[-1] + "\n  ]\n}\n"
         return
-    # the tab after the params text sorts below every printed character
-    # and no two entries share a text, so the lines sort as the texts do
-    lines = sorted(f"{text}\t{bound.value}\t{bound.case_tag.value}\t"
-                   f"{'yes' if bound.exact else 'no'}\t{bound.label or '-'}\n"
-                   for text, _, bound in _census_entries(args.cmax))
+    # the tab after the printed form sorts below every printed character
+    # and no two entries share a form, so the lines sort as the forms do
+    lines = _census_rows(
+        args.cmax, "",
+        lambda bound: (f"\t{bound.value}\t{bound.case_tag.value}\t"
+                       f"{'yes' if bound.exact else 'no'}\t"
+                       f"{bound.label or '-'}\n"))
     yield (f"# closed non-orientable census, bound <= {args.cmax} "
            f"({len(lines)} entries)\n")
     yield "# params\tvalue\tcase_tag\texact\tlabel\n"
@@ -273,6 +300,8 @@ def _cmd_census_check(args) -> int:
         raise _CliError(EXIT_INVALID, f"{args.file}: {exc}") from exc
     report = compare(records, args.cmax)
     if args.json:
+        import json
+
         print(json.dumps(_report_doc(report), indent=2))
     else:
         for row in report.rows:

@@ -302,22 +302,26 @@ def _multiset_counts(types: dict[int, int], budget: int) -> list[int]:
 
 
 def census_counts_by_shape(c_max: int) -> dict:
-    """Census entries per (eps, g, t, k, b), counted by generating
+    """Census entries per (eps, g, t, k, b, value), counted by generating
     functions instead of walked.
 
     A pair (p, q) adds c = S(p,q) + 1 to the fixed part 6(1 - chi) + 6t
-    of the bound.  There is one pair per continued fraction, so 2^(c-3)
+    of the bound, so an entry whose pairs cost j in all has value
+    fixed + j.  There is one pair per continued fraction, so 2^(c-3)
     pairs of each cost c >= 3 with 0 < q < p; with 2q <= p there is one
     of cost 3, (2,1), and 2^(c-4) of each cost c >= 4.
 
     * o1/n2 shapes (here t > 0): b = 0, and the multisets of the first
-      kind up to the mirror q -> p - q, by Burnside (all + fixed) / 2.
-      A mirror-fixed multiset holds (2,1), the only fixed pair, any
-      number of times and the other pairs in couples with their mirror
-      images, each couple costing 2c.
+      kind up to the mirror q -> p - q, by Burnside (all + fixed) / 2 at
+      each cost, as the mirror keeps the cost.  A mirror-fixed multiset
+      holds (2,1), the only fixed pair, any number of times and the
+      other pairs in couples with their mirror images, each couple
+      costing 2c.
     * Other shapes: the multisets of the second kind with b = 0, and
       when t = 0 also those without (2,1), the one pair with p = 2,
       with b = 1.
+    * RP2 x S1, the pairless b = 0 fibration over the projective plane,
+      has value 1, not its fixed part 0.
     """
     full = {c: 2 ** (c - 3) for c in range(3, c_max + 1)}
     half = {c: 1 if c == 3 else 2 ** (c - 4) for c in range(3, c_max + 1)}
@@ -327,29 +331,31 @@ def census_counts_by_shape(c_max: int) -> dict:
         for g in range(c_max + 3):
             chi = 2 - 2 * g if eps.orientable_base else 2 - g
             for t in range(c_max + 2):
+                fixed = 6 * (1 - chi) + 6 * t
                 for k in range(t + 1):
                     shape = sf.SeifertParams(0, eps, g, t, k)
-                    room = c_max - 6 * (1 - chi) - 6 * t
+                    room = c_max - fixed
                     if (room < 0 or sf.validate(shape)
                             or sf.is_orientable(shape)):
                         continue
                     if eps in sf.ORIENTABLE_AWAY_FROM_SE:
-                        mirror_fixed = sum(_multiset_counts(
-                            {3: 1, **couples}, room))
-                        by_b = {0: (sum(_multiset_counts(full, room))
-                                    + mirror_fixed) // 2}
+                        mirror_fixed = _multiset_counts({3: 1, **couples}, room)
+                        by_b = {0: [(n + n_fixed) // 2 for n, n_fixed in zip(
+                            _multiset_counts(full, room), mirror_fixed)]}
                     else:
-                        by_b = {0: sum(_multiset_counts(half, room))}
+                        by_b = {0: _multiset_counts(half, room)}
                         if t == 0:
-                            by_b[1] = sum(_multiset_counts(
+                            by_b[1] = _multiset_counts(
                                 {c: n for c, n in half.items() if c > 3},
-                                room))
-                    if (eps, g, t, c_max) == (sf.Epsilon.N1, 1, 0, 0):
-                        # RP2 x S1: the pairless b = 0 fibration has
-                        # bound 1, not the fixed part 0
-                        by_b[0] -= 1
-                    counts.update(((eps, g, t, k, b), n)
-                                  for b, n in by_b.items() if n)
+                                room)
+                    counts.update(((eps, g, t, k, b, fixed + cost), n)
+                                  for b, by_cost in by_b.items()
+                                  for cost, n in enumerate(by_cost) if n)
+    # no pair costs 1, so RP2 x S1 is the only b = 0 entry of its shape
+    # within value 1
+    del counts[sf.Epsilon.N1, 1, 0, 0, 0, 0]
+    if c_max >= 1:
+        counts[sf.Epsilon.N1, 1, 0, 0, 0, 1] = 1
     return counts
 
 

@@ -6,6 +6,7 @@ import pytest
 
 import seifert as sf
 from seifert.census import _pair_multisets
+from seifert.cli import main
 from support import (census_brute_force, census_by_normalizing,
                      census_counts_by_shape, cf_coefficients, plain)
 
@@ -103,17 +104,26 @@ class TestEnumeration:
         second = sf.enumerate_nonorientable_closed(6)
         assert first == second
 
-    def test_entry_counts(self):
-        # one walk per budget, checked against the pinned totals and,
-        # shape by shape, against the generating-function counts
+    def test_entry_counts(self, capsys):
+        # one walk and one `census gen` listing per budget, checked
+        # against the pinned totals and, by shape, b and value, against
+        # the generating-function counts
         totals = [2, 3, 3, 5, 8, 14, 38, 64, 120, 241, 489, 996,
                   2079, 4263, 8812, 18223, 37742, 78097]
         for c, total in enumerate(totals):
+            expected = census_counts_by_shape(c)
             entries = sf.enumerate_nonorientable_closed(c)
             assert len(entries) == total
-            by_shape = Counter((P.epsilon, P.g, P.t, P.k, P.b)
-                               for P, _ in entries)
-            assert dict(by_shape) == census_counts_by_shape(c)
+            by_value = Counter((P.epsilon, P.g, P.t, P.k, P.b, bound.value)
+                               for P, bound in entries)
+            assert dict(by_value) == expected
+            assert main(["census", "gen", "--cmax", str(c)]) == 0
+            listed = Counter()
+            for line in capsys.readouterr().out.splitlines()[2:]:
+                text, value, *_ = line.split("\t")
+                P = sf.parse_params(text)
+                listed[P.epsilon, P.g, P.t, P.k, P.b, int(value)] += 1
+            assert dict(listed) == expected
 
     def test_matches_normalize_and_fold_reference(self):
         for c in range(13):
@@ -203,6 +213,9 @@ class TestIngest:
         ("a\t{0;(n1,1,(0,0));(|);}\t1_0\tnormalized", "not an integer"),
         ("a\t{0;(n1,1,(0,0));(|);}\t1\uff10\tnormalized", "not an integer"),
         ("a\t{0;(n1,1,(0,0));(|);}\t\u0663\tnormalized", "not an integer"),
+        ("a\t{0;(n1,1,(0,0));(|);}\t+1\tnormalized", "not an integer"),
+        ("a\t{0;(n1,1,(0,0));(|);}\t 1\tnormalized", "not an integer"),
+        ("a\t{0;(n1,1,(0,0));(|);}\t1 \tnormalized", "not an integer"),
         ("a\t{0;(n1,1,(0,0));(|);}\t-1\tnormalized", "non-negative"),
         ("a\t{0;(n1,1,(0,0));(|);}\t1\tregina", "unknown convention"),
         ("a\t{0;(n1,1,(0,0));(|)}\t1\tnormalized", "parse error"),

@@ -140,7 +140,9 @@ class TestBasicCommands:
                              capture_output=True, text=True, check=True,
                              timeout=60).stdout.split()
         assert "seifert.cli" in out
-        loaded = {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(out)
+        # and json, which only the --json paths import
+        loaded = ({"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
+                  & set(out))
         assert loaded == set()
 
 
@@ -251,6 +253,55 @@ class TestCensusCommands:
         code, out, err = run(capsys, "census", "gen", *argv)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    def test_gen_lines_agree_with_the_library(self, capsys):
+        for c in range(17):
+            code, out, err = run(capsys, "census", "gen", "--cmax", str(c))
+            entries = sf.enumerate_nonorientable_closed(c)
+            assert code == 0 and err == ""
+            assert out.splitlines()[2:] == [
+                f"{sf.format_params(P)}\t{bound.value}\t{bound.case_tag.value}"
+                f"\t{'yes' if bound.exact else 'no'}\t{bound.label or '-'}"
+                for P, bound in entries]
+
+    def test_gen_json_agrees_with_the_library(self, capsys):
+        for c in range(13):
+            code, out, err = run(capsys, "census", "gen", "--cmax", str(c),
+                                 "--json")
+            entries = sf.enumerate_nonorientable_closed(c)
+            assert code == 0 and err == ""
+            assert json.loads(out) == {
+                "cmax": c, "count": len(entries),
+                "entries": [{"params": sf.format_params(P),
+                             "value": bound.value,
+                             "case_tag": bound.case_tag.value,
+                             "exact": bound.exact, "label": bound.label}
+                            for P, bound in entries]}
+
+    def test_gen_formats_once_per_shape_and_b(self, capsys, monkeypatch):
+        # an entry with pairs is spelled from its shape's printed head, so
+        # format_params must not run once per entry
+        import seifert.census
+        import seifert.notation
+
+        calls = []
+        original = seifert.notation.format_params
+
+        def counted(params):
+            calls.append(params)
+            return original(params)
+
+        for module in (sf, seifert.census, seifert.cli, seifert.notation):
+            monkeypatch.setattr(module, "format_params", counted)
+        code, out, _ = run(capsys, "census", "gen", "--cmax", "12")
+        monkeypatch.undo()
+        assert code == 0
+        forms = [sf.parse_params(line.split("\t")[0])
+                 for line in out.splitlines()[2:]]
+        assert len(forms) == 2079
+        shapes = {P[1:5] for P in forms}
+        pairless = sum(1 for P in forms if not P.pairs)
+        assert 0 < len(calls) <= 2 * len(shapes) + pairless
 
     def test_gen_round_trips_through_check(self, capsys, tmp_path):
         # feed the generated census back in as a table of recorded values

@@ -45,9 +45,10 @@ tuples, like the records of ``core``.
 from __future__ import annotations
 
 import io
+from collections import namedtuple
+from collections.abc import Iterable, Iterator
 from itertools import product
 from operator import itemgetter
-from typing import Iterable, Iterator, NamedTuple
 
 from .complexity import _closed_nonorientable_general, upper_bound
 from .core import (
@@ -65,35 +66,34 @@ from .notation import _format_pairs, format_params, parse_params
 CONVENTIONS = ("normalized", "burton")
 
 
-class CensusRecord(NamedTuple):
-    """One row of an external census table."""
+class CensusRecord(namedtuple("CensusRecord",
+                              "name params complexity convention")):
+    """One row of an external census table; ``params`` is the
+    ``NormalizedSeifertParams`` of the row."""
 
-    name: str
-    params: NormalizedSeifertParams
-    complexity: int
-    convention: str
-
-
-class ComparisonRow(NamedTuple):
-    name: str
-    normalized: NormalizedSeifertParams
-    recorded: int
-    bound: ComplexityBound
-    status: str  # "sharp" | "overestimate(by n)" | "violation"
+    __slots__ = ()
 
 
-class ComparisonReport(NamedTuple):
+class ComparisonRow(namedtuple("ComparisonRow",
+                               "name normalized recorded bound status")):
+    """One graded record: its ``NormalizedSeifertParams``, recorded
+    complexity and ``ComplexityBound``.  ``status`` is "sharp",
+    "overestimate(by n)" or "violation"."""
+
+    __slots__ = ()
+
+
+class ComparisonReport(namedtuple(
+        "ComparisonReport", "rows sharp overestimates violations notes")):
     """Sharpness of the bound against a census table.
 
+    ``rows`` and ``overestimates`` are tuples of ``ComparisonRow``,
+    ``sharp`` and ``violations`` counts, ``notes`` a tuple of strings.
     A violation (bound below the recorded complexity) would contradict an
     upper bound, so it signals bad data or a normalization error.
     """
 
-    rows: tuple[ComparisonRow, ...]
-    sharp: int
-    overestimates: tuple[ComparisonRow, ...]
-    violations: int
-    notes: tuple[str, ...]
+    __slots__ = ()
 
 
 def _pairs_with_cf_sum(s_max: int) -> Iterator[tuple[int, int, int]]:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Iterator
+from collections.abc import Callable, Iterator
 
 from .census import (
     CensusFormatError,
@@ -117,10 +117,11 @@ def _cmd_bound(args) -> int:
     P = _parse_valid(args.params)
     bound = upper_bound(P)
     note = sharper_bound_note(P)
-    doc = {"params": args.params, "normalized": format_params(P),
+    normalized = format_params(P)
+    doc = {"params": args.params, "normalized": normalized,
            **bound._asdict(), "note": note}
     lines = [
-        f"normalized: {format_params(P)}",
+        f"normalized: {normalized}",
         f"value: {bound.value}",
         f"case: {bound.case_tag.value}",
         f"exact: {'yes' if bound.exact else 'no'}",
@@ -147,9 +148,10 @@ def _cmd_info(args) -> int:
     P = _parse_valid(args.params)
     profile = boundary_profile(P)
     orbifold = orbifold_summary(P)
+    normalized = format_params(P)
     doc = {
         "params": args.params,
-        "normalized": format_params(P),
+        "normalized": normalized,
         "orientable": is_orientable(P),
         "closed": is_closed(P),
         "euler_char_base": euler_char_base(P),
@@ -158,7 +160,7 @@ def _cmd_info(args) -> int:
     }
     cone = ",".join(f"({p},{q})" for p, q in orbifold.cone_points) or "none"
     lines = [
-        f"normalized: {format_params(P)}",
+        f"normalized: {normalized}",
         f"orientable: {'yes' if doc['orientable'] else 'no'}",
         f"closed: {'yes' if doc['closed'] else 'no'}",
         f"base euler characteristic: {doc['euler_char_base']}",

@@ -80,7 +80,7 @@ def upper_bound(params: SeifertParams) -> ComplexityBound:
     """Upper bound for the complexity, computed on the normalized form."""
     P = normalize(params)
 
-    if P.m_plus + P.m_minus > 0:
+    if not is_closed(P):
         label = _bordered_special(P)
         if label is not None:
             return ComplexityBound(0, CaseTag.BORDERED_SPECIAL_ZERO,
@@ -131,7 +131,7 @@ def zero_complexity_corollary_check(params: SeifertParams) -> bool:
     criterion: no closed exceptional surface and every isolated fibre of
     type (2,1), (3,1) or (3,2).  When true, upper_bound returns 0."""
     P = normalize(params)
-    if P.m_plus + P.m_minus == 0:
+    if is_closed(P):
         raise ValueError("requires a space with non-empty boundary")
     return P.t == 0 and all(pq in _ZERO_PAIRS for pq in P.pairs)
 
@@ -145,7 +145,7 @@ def conjectured_complexity(params: SeifertParams) -> int | None:
     itself is not checked.
     """
     P = normalize(params)
-    if P.m_plus + P.m_minus > 0:
+    if not is_closed(P):
         raise ValueError("requires a closed space")
     if is_orientable(P):
         raise ValueError("requires a non-orientable space")

@@ -22,16 +22,17 @@ Raw parameter sets may carry (1,q) pairs, out-of-range q_j and arbitrary
 b; the ``normal_form`` module reduces them to the unique canonical form.
 Everything in this module is a direct read of the parameter set.
 
-Every record here is an immutable named tuple: equality and hashing are
-by value, ``_asdict()`` gives the fields in declared order and
-``_replace()`` a changed copy.
+Every record here is a ``collections.namedtuple`` subclass with
+``__slots__ = ()``: immutable, equal and hashed by value, with
+``_asdict()`` giving the fields in declared order and ``_replace()`` a
+changed copy, which for a parameter set is always a plain, raw
+``SeifertParams``.
 """
 from __future__ import annotations
 
 from collections import namedtuple
 from enum import Enum
 from math import gcd
-from typing import NamedTuple
 
 
 class Epsilon(str, Enum):
@@ -88,6 +89,10 @@ class SeifertParams(namedtuple("SeifertParams",
     ``kminus``, ``pairs`` and each pair are stored as tuples whatever
     sequences they are given as.  m+, m- and r are the lengths of
     ``hplus``, ``kminus`` and ``pairs`` and are never stored separately.
+
+    ``_make``, and so ``_replace``, builds through this constructor and
+    returns a plain ``SeifertParams`` even from a
+    ``NormalizedSeifertParams``: a changed copy is raw.
     """
 
     __slots__ = ()
@@ -97,6 +102,15 @@ class SeifertParams(namedtuple("SeifertParams",
                 pairs: tuple[tuple[int, int], ...] = ()):
         return tuple.__new__(cls, (b, epsilon, g, t, k, tuple(hplus),
                                    tuple(kminus), tuple(map(tuple, pairs))))
+
+    @classmethod
+    def _make(cls, iterable):
+        fields = tuple(iterable)
+        # all eight, as the stock _make requires: the constructor alone
+        # would fill a short list from its defaults
+        if len(fields) != 8:
+            raise TypeError(f"Expected 8 arguments, got {len(fields)}")
+        return SeifertParams(*fields)
 
     @property
     def m_plus(self) -> int:
@@ -117,9 +131,9 @@ class NormalizedSeifertParams(SeifertParams):
     ``normal_form.normalize`` builds these and returns one unchanged.
     The census walk also builds them, directly from the canonical-form
     rules of closed non-orientable shapes; the tests check every census
-    entry P with ``normalize(plain(P)) == P``.  The moves rebuild a plain
-    ``SeifertParams``, never with ``_replace`` or ``_make``, which would
-    keep this class.  Equality and hashing ignore the class.
+    entry P with ``normalize(plain(P)) == P``.  The moves, ``_replace``
+    and ``_make`` all return a plain ``SeifertParams``.  Equality and
+    hashing ignore the class.
     """
 
     __slots__ = ()
@@ -144,25 +158,25 @@ class FibredSolidTorusType(namedtuple("FibredSolidTorusType", "p r")):
         return cls(*iterable)
 
 
-class BoundaryProfile(NamedTuple):
-    """Census of the boundary components of the fibred space."""
+class BoundaryProfile(namedtuple(
+        "BoundaryProfile",
+        "tori klein_regular klein_with_exceptional exceptional_annuli")):
+    """Census of the boundary components of the fibred space.
 
-    tori: int
-    klein_regular: int
-    klein_with_exceptional: int
-    exceptional_annuli: int  # t'
+    ``exceptional_annuli`` is the paper's t'."""
+
+    __slots__ = ()
 
 
-class OrbifoldSummary(NamedTuple):
-    """The base orbifold: underlying surface plus its singular locus."""
+class OrbifoldSummary(namedtuple(
+        "OrbifoldSummary",
+        "genus orientable_base cone_points reflector_circles reflector_arcs "
+        "underlying_boundary_components minus_decorations")):
+    """The base orbifold: underlying surface plus its singular locus.
 
-    genus: int
-    orientable_base: bool
-    cone_points: tuple[tuple[int, int], ...]
-    reflector_circles: int
-    reflector_arcs: int
-    underlying_boundary_components: int
-    minus_decorations: int
+    ``cone_points`` is a tuple of (p, q) pairs."""
+
+    __slots__ = ()
 
 
 class CaseTag(str, Enum):
@@ -180,15 +194,15 @@ class CaseTag(str, Enum):
     CLOSED_NONORIENTABLE_GENERAL = "ClosedNonorientableGeneral"
 
 
-class ComplexityBound(NamedTuple):
+class ComplexityBound(namedtuple("ComplexityBound",
+                                 "value case_tag exact label",
+                                 defaults=(False, None))):
     """An upper bound for the complexity (true vertices of a minimal
     almost simple spine).  ``exact`` is set only where equality is
-    guaranteed, never merely because a general formula evaluated to 0."""
+    guaranteed, never merely because a general formula evaluated to 0.
+    ``label`` names the manifold when it is recognized, else None."""
 
-    value: int
-    case_tag: CaseTag
-    exact: bool = False
-    label: str | None = None
+    __slots__ = ()
 
 
 def cf_sum(p: int, q: int) -> int:

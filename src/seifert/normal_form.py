@@ -29,28 +29,13 @@ from .core import (
 )
 
 
-def _with(params: SeifertParams, *, b=None, pairs=None) -> SeifertParams:
-    # Rebuild as a plain SeifertParams: a moved set is raw again even if
-    # the input was normalized.
-    return SeifertParams(
-        b=params.b if b is None else b,
-        epsilon=params.epsilon,
-        g=params.g,
-        t=params.t,
-        k=params.k,
-        hplus=params.hplus,
-        kminus=params.kminus,
-        pairs=params.pairs if pairs is None else tuple(pairs),
-    )
-
-
 def twist(params: SeifertParams, j: int, n: int) -> SeifertParams:
     """Replace pair j (1-based) by (p_j, q_j - n*p_j) and b by b + n."""
     if not 1 <= j <= params.r:
         raise IndexError(f"pair index {j} out of range 1..{params.r}")
     p, q = params.pairs[j - 1]
     pairs = params.pairs[:j - 1] + ((p, q - n * p),) + params.pairs[j:]
-    return _with(params, b=params.b + n, pairs=pairs)
+    return params._replace(b=params.b + n, pairs=pairs)
 
 
 def reflect_pair(params: SeifertParams, j: int) -> SeifertParams:
@@ -63,19 +48,19 @@ def reflect_pair(params: SeifertParams, j: int) -> SeifertParams:
         raise IndexError(f"pair index {j} out of range 1..{params.r}")
     p, q = params.pairs[j - 1]
     pairs = params.pairs[:j - 1] + ((p, p - q),) + params.pairs[j:]
-    return _with(params, b=params.b + 1, pairs=pairs)
+    return params._replace(b=params.b + 1, pairs=pairs)
 
 
 def absorb_unit_pairs(params: SeifertParams) -> SeifertParams:
     """Trade every (1, q) pair for q extra twists on b."""
     extra = sum(q for p, q in params.pairs if p == 1)
     pairs = tuple(pq for pq in params.pairs if pq[0] != 1)
-    return _with(params, b=params.b + extra, pairs=pairs)
+    return params._replace(b=params.b + extra, pairs=pairs)
 
 
 def insert_unit_pair(params: SeifertParams, q: int) -> SeifertParams:
     """Split q twists off b into an explicit (1, q) pair."""
-    return _with(params, b=params.b - q, pairs=params.pairs + ((1, q),))
+    return params._replace(b=params.b - q, pairs=params.pairs + ((1, q),))
 
 
 def mirror(params: SeifertParams) -> SeifertParams:
@@ -91,8 +76,8 @@ def mirror(params: SeifertParams) -> SeifertParams:
             f"mirror needs eps in {{o1, n2}}, got {params.epsilon.value}")
     flipped = tuple((p, p - q) for p, q in params.pairs)
     if is_closed(params) and is_orientable(params):
-        return _with(params, b=-params.b - params.r, pairs=flipped)
-    return _with(params, pairs=flipped)
+        return params._replace(b=-params.b - params.r, pairs=flipped)
+    return params._replace(pairs=flipped)
 
 
 def _mirror_min(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:

@@ -141,8 +141,8 @@ class TestBasicCommands:
                              timeout=60).stdout.split()
         assert "seifert.cli" in out
         # and json, which only the --json paths import
-        loaded = ({"dataclasses", "inspect", "ast", "dis", "tokenize", "json"}
-                  & set(out))
+        loaded = ({"dataclasses", "inspect", "ast", "dis", "tokenize", "json",
+                   "typing"} & set(out))
         assert loaded == set()
 
 

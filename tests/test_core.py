@@ -160,12 +160,24 @@ class TestSeifertParamsValue:
     FIELDS = (1, sf.Epsilon.N3, 2, 1, 1, (0,), (2,), ((3, 1), (5, 2)))
 
     def test_sequences_are_stored_as_tuples(self):
-        P = sf.SeifertParams(1, sf.Epsilon.N3, 2, 1, 1, [0], [2],
-                             [[3, 1], [5, 2]])
-        assert type(P.hplus) is tuple and type(P.kminus) is tuple
-        assert type(P.pairs) is tuple
-        assert all(type(pq) is tuple for pq in P.pairs)
-        assert P == sf.SeifertParams(*self.FIELDS)
+        N = sf.NormalizedSeifertParams(*self.FIELDS)
+        for P in (sf.SeifertParams(1, sf.Epsilon.N3, 2, 1, 1, [0], [2],
+                                   [[3, 1], [5, 2]]),
+                  N._replace(hplus=[0], pairs=[[3, 1], [5, 2]]),
+                  sf.SeifertParams._make(
+                      [1, sf.Epsilon.N3, 2, 1, 1, [0], [2], [[3, 1], [5, 2]]])):
+            assert type(P) is sf.SeifertParams
+            assert type(P.hplus) is tuple and type(P.kminus) is tuple
+            assert type(P.pairs) is tuple
+            assert all(type(pq) is tuple for pq in P.pairs)
+            assert P == sf.SeifertParams(*self.FIELDS)
+            assert hash(P) == hash(N)
+
+    def test_make_takes_all_eight_fields(self):
+        # the constructor alone would fill five to seven from defaults
+        for size in (5, 7, 9):
+            with pytest.raises(TypeError, match=f"got {size}$"):
+                sf.SeifertParams._make(self.FIELDS[:5] + (None,) * (size - 5))
 
     def test_normalized_equals_and_hashes_like_plain(self):
         P = sf.SeifertParams(*self.FIELDS)
@@ -183,8 +195,11 @@ class TestSeifertParamsValue:
                 P.pairs = ()
 
     def test_instances_carry_no_dict(self):
-        for cls in (sf.SeifertParams, sf.NormalizedSeifertParams):
-            assert not hasattr(cls(*self.FIELDS), "__dict__")
+        # census check keeps one record and one row per input line
+        records = [cls(*self.FIELDS)
+                   for cls in (sf.SeifertParams, sf.NormalizedSeifertParams)]
+        for record in records + _record_instances():
+            assert not hasattr(record, "__dict__"), type(record).__name__
 
     def test_pickle_keeps_the_class(self):
         for cls in (sf.SeifertParams, sf.NormalizedSeifertParams):

@@ -104,13 +104,15 @@ class TestNormalize:
 
     def test_canonical_input_is_returned_and_moves_are_plain(self):
         # normalize may return a NormalizedSeifertParams as is only
-        # because no move hands one back.
+        # because no move, and no changed copy, hands one back.
         rng = Random(4242)
         for _ in range(300):
             canonical = sf.normalize(random_valid(rng))
             assert sf.normalize(canonical) is canonical
             moved = [sf.insert_unit_pair(canonical, 0),
-                     sf.absorb_unit_pairs(canonical)]
+                     sf.absorb_unit_pairs(canonical),
+                     canonical._replace(),
+                     canonical._replace(b=canonical.b + 1)]
             if canonical.pairs:
                 moved.append(sf.twist(canonical, 1, 0))
             if canonical.epsilon in sf.ORIENTABLE_AWAY_FROM_SE:
@@ -118,6 +120,8 @@ class TestNormalize:
             elif canonical.pairs:
                 moved.append(sf.reflect_pair(canonical, 1))
             assert all(type(m) is sf.SeifertParams for m in moved)
+            for m in moved:
+                assert sf.normalize(m) == sf.normalize(plain(m))
 
     def test_mirror_applied_when_b_too_negative(self):
         assert sf.normalize(P("{-3;(o1,0,(0,0));(|);((2,1),(3,1))}")) == \

@@ -40,7 +40,10 @@ with ``convention`` one of ``normalized`` or ``burton``; ``#`` comment
 lines and blank lines are skipped, and so is a byte-order mark at the
 start of the first line.  ``compare`` then grades the bound against each
 recorded complexity.  Records, rows and reports are immutable named
-tuples, like the records of ``core``.
+tuples, like the records of ``core``.  ``ingest_census`` and ``compare``
+collect the generators ``_records`` and ``_graded``, which yield one
+record and one graded row at a time, so a caller that keeps less than
+every row can grade a table while reading it.
 """
 from __future__ import annotations
 
@@ -135,7 +138,12 @@ def _pair_multisets(pool: list[tuple[int, tuple[int, int]]],
             yield from rec(i, spent + cost)
             acc.pop()
 
-    yield from rec(0, 0)
+    # rec refers to itself through its closure, and the cycle would keep
+    # the pool alive until the cyclic collector ran, so it is broken here
+    try:
+        yield from rec(0, 0)
+    finally:
+        del rec
 
 
 def _census_entries(c_max: int) -> Iterator[
@@ -203,15 +211,12 @@ class CensusFormatError(ValueError):
         self.lineno = lineno
 
 
-def ingest_census(source: Iterable[str] | str) -> list[CensusRecord]:
-    """Parse a census table.  Every row is normalized on the way in, which
-    converts burton-convention rows, so ``CensusRecord.params`` is the
-    canonical form under both conventions.  A byte-order mark (U+FEFF)
-    at the start of the first line is skipped."""
+def _records(source: Iterable[str] | str) -> Iterator[CensusRecord]:
+    # the records of a census table, each parsed and normalized as its
+    # line is read
     if isinstance(source, str):
         # split where a file read in text mode would: at \n, \r\n and \r
         source = io.StringIO(source, newline=None)
-    records = []
     for lineno, raw in enumerate(source, start=1):
         line = raw.rstrip("\r\n")
         if lineno == 1:
@@ -244,16 +249,21 @@ def ingest_census(source: Iterable[str] | str) -> list[CensusRecord]:
                 lineno,
                 f"unknown convention {convention!r}; expected one of "
                 + ", ".join(CONVENTIONS))
-        records.append(CensusRecord(name, params, complexity, convention))
-    return records
+        yield CensusRecord(name, params, complexity, convention)
 
 
-def compare(records: Iterable[CensusRecord],
-            c_max: int | None = None) -> ComparisonReport:
-    """Grade the bound against each record with recorded complexity
-    <= c_max (all records when c_max is None)."""
-    rows = []
-    by_name: dict[str, set[NormalizedSeifertParams]] = {}
+def ingest_census(source: Iterable[str] | str) -> list[CensusRecord]:
+    """Parse a census table.  Every row is normalized on the way in, which
+    converts burton-convention rows, so ``CensusRecord.params`` is the
+    canonical form under both conventions.  A byte-order mark (U+FEFF)
+    at the start of the first line is skipped."""
+    return list(_records(source))
+
+
+def _graded(records: Iterable[CensusRecord],
+            c_max: int | None) -> Iterator[ComparisonRow]:
+    # the graded row of each record with complexity <= c_max (of every
+    # record when c_max is None), in the order of the records
     for record in records:
         if c_max is not None and record.complexity > c_max:
             continue
@@ -266,18 +276,45 @@ def compare(records: Iterable[CensusRecord],
             status = f"overestimate(by {delta})"
         else:
             status = "violation"
-        rows.append(ComparisonRow(record.name, P, record.complexity,
-                                  bound, status))
-        by_name.setdefault(record.name, set()).add(P)
+        yield ComparisonRow(record.name, P, record.complexity, bound, status)
 
-    notes = tuple(
-        f"records named {name!r} normalize to {len(forms)} distinct fibrations"
-        for name, forms in sorted(by_name.items()) if len(forms) > 1)
+
+class _FibrationsByName:
+    """The distinct fibrations recorded under each name, kept only for
+    the names that record more than one, and the notes that name them.
+    A fibration is any value that is equal exactly when the fibrations
+    are: a canonical form, or its printed text."""
+
+    __slots__ = ("first", "repeated")
+
+    def __init__(self):
+        self.first = {}     # name -> its first fibration
+        self.repeated = {}  # name -> its fibrations, if two or more
+
+    def add(self, name: str, fibration) -> None:
+        first = self.first.setdefault(name, fibration)
+        if first != fibration:
+            self.repeated.setdefault(name, {first}).add(fibration)
+
+    def notes(self) -> tuple[str, ...]:
+        return tuple(
+            f"records named {name!r} normalize to {len(forms)} distinct fibrations"
+            for name, forms in sorted(self.repeated.items()))
+
+
+def compare(records: Iterable[CensusRecord],
+            c_max: int | None = None) -> ComparisonReport:
+    """Grade the bound against each record with recorded complexity
+    <= c_max (all records when c_max is None)."""
+    rows = tuple(_graded(records, c_max))
+    names = _FibrationsByName()
+    for row in rows:
+        names.add(row.name, row.normalized)
     return ComparisonReport(
-        rows=tuple(rows),
+        rows=rows,
         sharp=sum(1 for row in rows if row.status == "sharp"),
         overestimates=tuple(row for row in rows
                             if row.status.startswith("overestimate")),
         violations=sum(1 for row in rows if row.status == "violation"),
-        notes=notes,
+        notes=names.notes(),
     )

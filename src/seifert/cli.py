@@ -20,10 +20,10 @@ from collections.abc import Callable, Iterator
 
 from .census import (
     CensusFormatError,
-    ComparisonReport,
     _census_entries,
-    compare,
-    ingest_census,
+    _FibrationsByName,
+    _graded,
+    _records,
 )
 from .complexity import (
     conjectured_complexity,
@@ -212,21 +212,26 @@ def _census_rows(cmax: int, prefix: str,
     return rows
 
 
+def _json_bound(bound: ComplexityBound, indent: str) -> str:
+    # the fields of a bound as json.dumps(doc, indent=2) lays them out
+    # at the given indent inside doc
+    from json import dumps
+
+    return (f'{indent}"value": {bound.value},\n'
+            f'{indent}"case_tag": {dumps(bound.case_tag.value)},\n'
+            f'{indent}"exact": {dumps(bound.exact)},\n'
+            f'{indent}"label": {dumps(bound.label)}')
+
+
 def _census_lines(args) -> Iterator[str]:
     if args.json:
-        import json
-
         # one JSON text per entry, in json.dumps(doc, indent=2) layout;
         # a printed form is ASCII without quotes or backslashes, so it
         # is its own JSON string.  The quote after it sorts below every
         # printed character, so the rows sort as the texts do.
-        dumps = json.dumps
         rows = _census_rows(
             args.cmax, '    {\n      "params": "',
-            lambda bound: (f'",\n      "value": {bound.value},\n'
-                           f'      "case_tag": {dumps(bound.case_tag.value)},\n'
-                           f'      "exact": {dumps(bound.exact)},\n'
-                           f'      "label": {dumps(bound.label)}\n    }}'))
+            lambda bound: f'",\n{_json_bound(bound, "      ")}\n    }}')
         yield (f'{{\n  "cmax": {args.cmax},\n  "count": {len(rows)},\n'
                f'  "entries": [\n')
         yield from (row + ",\n" for row in rows[:-1])
@@ -259,25 +264,6 @@ def _cmd_census_gen(args) -> int:
     return EXIT_OK
 
 
-def _report_doc(report: ComparisonReport) -> dict:
-    return {
-        "rows": [{
-            "name": row.name,
-            "normalized": format_params(row.normalized),
-            "recorded": row.recorded,
-            "bound": row.bound._asdict(),
-            "status": row.status,
-        } for row in report.rows],
-        "summary": {
-            "rows": len(report.rows),
-            "sharp": report.sharp,
-            "overestimates": len(report.overestimates),
-            "violations": report.violations,
-        },
-        "notes": list(report.notes),
-    }
-
-
 def _utf8_lines(handle):
     # The file is read with errors="surrogateescape", which turns each
     # undecodable byte into a lone surrogate; the first one is an error.
@@ -292,33 +278,77 @@ def _utf8_lines(handle):
 
 
 def _cmd_census_check(args) -> int:
+    # Each row is graded and spelled as it is read, and only the text of
+    # the report is kept; it is written after the last row, so a
+    # malformed row leaves stdout empty.
+    if args.json:
+        import json
+
+        dumps = json.dumps
+    rows: list[str] = []
+    overestimated: list[str] = []  # the overestimate lines of the text
+    sharp = overestimates = violations = 0
+    names = _FibrationsByName()
     try:
         with open(args.file, "r", encoding="utf-8",
                   errors="surrogateescape") as handle:
-            records = ingest_census(_utf8_lines(handle))
+            for row in _graded(_records(_utf8_lines(handle)), args.cmax):
+                name, bound, status = row.name, row.bound, row.status
+                form = format_params(row.normalized)
+                names.add(name, form)
+                if status == "sharp":
+                    sharp += 1
+                elif status == "violation":
+                    violations += 1
+                else:
+                    overestimates += 1
+                    if not args.json:
+                        overestimated.append(
+                            f"overestimate: {name} [{bound.case_tag.value}] "
+                            f"{status}\n")
+                if args.json:
+                    # the row as json.dumps(doc, indent=2) lays it out in
+                    # the rows of doc, with the text before it
+                    rows.append(
+                        (",\n" if rows else "[\n")
+                        + f'    {{\n      "name": {dumps(name)},\n'
+                        f'      "normalized": {dumps(form)},\n'
+                        f'      "recorded": {row.recorded},\n'
+                        '      "bound": {\n'
+                        + _json_bound(bound, "        ")
+                        + f'\n      }},\n      "status": {dumps(status)}\n    }}')
+                else:
+                    rows.append(f"{name}\t{form}\trecorded={row.recorded}\t"
+                                f"bound={bound.value}\t{status}\n")
     except OSError as exc:
         raise _CliError(EXIT_USAGE, f"cannot read {args.file}: {exc}") from exc
     except CensusFormatError as exc:
         raise _CliError(EXIT_INVALID, f"{args.file}: {exc}") from exc
-    report = compare(records, args.cmax)
+    notes = names.notes()
+    out = sys.stdout
     if args.json:
-        import json
-
-        print(json.dumps(_report_doc(report), indent=2))
+        out.write('{\n  "rows": ')
+        out.writelines(rows)
+        out.write("\n  ]" if rows else "[]")
+        # the rest of doc, after its rows
+        rest = dumps({
+            "summary": {
+                "rows": len(rows),
+                "sharp": sharp,
+                "overestimates": overestimates,
+                "violations": violations,
+            },
+            "notes": list(notes),
+        }, indent=2)
+        out.write("," + rest[1:] + "\n")
     else:
-        for row in report.rows:
-            print(f"{row.name}\t{format_params(row.normalized)}\t"
-                  f"recorded={row.recorded}\tbound={row.bound.value}\t"
-                  f"{row.status}")
-        print(f"rows: {len(report.rows)}  sharp: {report.sharp}  "
-              f"overestimates: {len(report.overestimates)}  "
-              f"violations: {report.violations}")
-        for row in report.overestimates:
-            print(f"overestimate: {row.name} [{row.bound.case_tag.value}] "
-                  f"{row.status}")
-        for note in report.notes:
-            print(f"note: {note}")
-    return EXIT_VIOLATION if report.violations else EXIT_OK
+        out.writelines(rows)
+        out.write(f"rows: {len(rows)}  sharp: {sharp}  "
+                  f"overestimates: {overestimates}  "
+                  f"violations: {violations}\n")
+        out.writelines(overestimated)
+        out.writelines(f"note: {note}\n" for note in notes)
+    return EXIT_VIOLATION if violations else EXIT_OK
 
 
 def _budget(text: str) -> int:

@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 from itertools import combinations_with_replacement
 from math import gcd
@@ -5,7 +6,7 @@ from math import gcd
 import pytest
 
 import seifert as sf
-from seifert.census import _pair_multisets
+from seifert.census import _census_entries, _pair_multisets
 from seifert.cli import main
 from support import (census_brute_force, census_by_normalizing,
                      census_counts_by_shape, cf_coefficients, plain)
@@ -65,6 +66,24 @@ class TestPairMultisets:
             assert set(walked) == {tuple(sorted(ms)) for ms in expected}
 
 
+    def test_walk_leaves_no_reference_cycles(self):
+        # a cycle would keep the pair pool alive until the cyclic
+        # collector ran, so the peak memory of a census walk would
+        # depend on when it runs
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in _census_entries(12):
+                pass
+            walk = _pair_multisets([(3, (2, 1))], 9)
+            next(walk)
+            walk.close()
+            del walk
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestEnumeration:
     def test_budget_zero_is_the_two_twisted_bundles(self):
         entries = sf.enumerate_nonorientable_closed(0)
@@ -105,25 +124,43 @@ class TestEnumeration:
         assert first == second
 
     def test_entry_counts(self, capsys):
-        # one walk and one `census gen` listing per budget, checked
-        # against the pinned totals and, by shape, b and value, against
-        # the generating-function counts
+        # census(n) is the part of census(N) with value <= n, so one walk
+        # at budget 19 and one `census gen` listing at budget 17 are
+        # checked for every budget below them: against the pinned totals
+        # and, by shape, b and value, against the generating-function
+        # counts
         totals = [2, 3, 3, 5, 8, 14, 38, 64, 120, 241, 489, 996,
-                  2079, 4263, 8812, 18223, 37742, 78097]
-        for c, total in enumerate(totals):
-            expected = census_counts_by_shape(c)
+                  2079, 4263, 8812, 18223, 37742, 78097, 161817, 334921]
+        expected = [census_counts_by_shape(c) for c in range(20)]
+
+        def up_to(counts, c):
+            return {key: n for key, n in counts.items() if key[5] <= c}
+
+        # the pair pool is built per budget, so the small budgets are
+        # also walked directly
+        for c in range(5):
             entries = sf.enumerate_nonorientable_closed(c)
-            assert len(entries) == total
-            by_value = Counter((P.epsilon, P.g, P.t, P.k, P.b, bound.value)
-                               for P, bound in entries)
-            assert dict(by_value) == expected
-            assert main(["census", "gen", "--cmax", str(c)]) == 0
-            listed = Counter()
-            for line in capsys.readouterr().out.splitlines()[2:]:
-                text, value, *_ = line.split("\t")
-                P = sf.parse_params(text)
-                listed[P.epsilon, P.g, P.t, P.k, P.b, int(value)] += 1
-            assert dict(listed) == expected
+            assert len(entries) == totals[c]
+            assert Counter((P.epsilon, P.g, P.t, P.k, P.b, bound.value)
+                           for P, bound in entries) == expected[c]
+        walked = Counter((shape.epsilon, shape.g, shape.t, shape.k, b,
+                          bound.value)
+                         for _, bound, b, shape, _ in _census_entries(19))
+        for c, total in enumerate(totals):
+            assert up_to(walked, c) == expected[c]
+            assert sum(expected[c].values()) == total
+        # and the walk holds nothing above its budget
+        assert dict(walked) == expected[19]
+        assert main(["census", "gen", "--cmax", "17"]) == 0
+        listed = Counter()
+        for line in capsys.readouterr().out.splitlines()[2:]:
+            text, value, *_ = line.split("\t")
+            P = sf.parse_params(text)
+            listed[P.epsilon, P.g, P.t, P.k, P.b, int(value)] += 1
+        for c in range(18):
+            assert up_to(listed, c) == expected[c]
+        # nor does the listing
+        assert dict(listed) == expected[17]
 
     def test_matches_normalize_and_fold_reference(self):
         for c in range(13):

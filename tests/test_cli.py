@@ -1,15 +1,18 @@
+import contextlib
 import hashlib
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import seifert as sf
 from seifert.cli import main
-from support import int_digit_limit
+from support import int_digit_limit, random_move_word, random_valid
 
 
 def run(capsys, *argv):
@@ -218,19 +221,48 @@ class TestCensusCommands:
 
     def test_check_json(self, capsys, tmp_path):
         table = tmp_path / "table.tsv"
-        table.write_text("opt\t{0;(n1,2,(0,0));(|);((2,1))}\t7\tnormalized\n")
+        # one name JSON escapes, recorded with two fibrations
+        odd = 'q"\\ \u00e9\u2028\U0001F600'
+        table.write_text(
+            "opt\t{0;(n1,2,(0,0));(|);((2,1))}\t7\tnormalized\n"
+            f"{odd}\t{{0;(n1,1,(0,0));(|);}}\t1\tnormalized\n"
+            f"{odd}\t{{0;(n3,2,(0,0));(|);((3,2))}}\t10\tburton\n",
+            encoding="utf-8")
         code, out, _ = run(capsys, "census", "check", "--json",
                            "--file", str(table))
         assert code == 0
         doc = json.loads(out)
         assert doc["rows"][0]["status"] == "overestimate(by 2)"
         assert doc["summary"]["overestimates"] == 1
+        assert [row["name"] for row in doc["rows"]] == ["opt", odd, odd]
+        assert len(doc["notes"]) == 1
+        # the layout is that of json.dumps(doc, indent=2)
+        assert out == json.dumps(doc, indent=2) + "\n"
 
     def test_check_malformed_file_is_two(self, capsys, tmp_path):
         table = tmp_path / "table.tsv"
         table.write_text("only two\tfields\n")
         code, _, err = run(capsys, "census", "check", "--file", str(table))
         assert code == 2 and "line 1" in err
+        # a bad row after good ones: the rows already graded are not
+        # printed either
+        good = ("# a comment\n"
+                "RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\n"
+                "opt\t{0;(n1,2,(0,0));(|);((2,1))}\t7\tburton\n")
+        for bad, fragment in [
+                ("only two\tfields", "expected 4 tab-separated fields"),
+                ("a\t{0;(n1,1,(0,0));(|)}\t1\tnormalized", "parse error"),
+                ("a\t{0;(n4,1,(0,0));(|);}\t1\tnormalized",
+                 "invalid parameters"),
+                ("a\t{0;(n1,1,(0,0));(|);}\tx\tnormalized", "not an integer"),
+                ("a\t{0;(n1,1,(0,0));(|);}\t1\tregina", "unknown convention"),
+        ]:
+            table.write_text(good + bad + "\n" + good)
+            for flags in ((), ("--json",)):
+                code, out, err = run(capsys, "census", "check",
+                                     "--file", str(table), *flags)
+                assert (code, out) == (2, "")
+                assert f"{table}: line 4: " in err and fragment in err
 
     def test_check_skips_a_byte_order_mark(self, capsys, tmp_path):
         table = tmp_path / "table.tsv"
@@ -302,6 +334,96 @@ class TestCensusCommands:
         shapes = {P[1:5] for P in forms}
         pairless = sum(1 for P in forms if not P.pairs)
         assert 0 < len(calls) <= 2 * len(shapes) + pairless
+
+    @staticmethod
+    def _check_table() -> str:
+        # every budget-8 entry spelled raw, in both conventions, some
+        # recorded below their bound; one violation; names that record
+        # two fibrations (out of name order, and one of them only without
+        # --cmax) and one that records one fibration in two spellings;
+        # comments and blank lines
+        lines = ["# pinned census check table", ""]
+        entries = sf.enumerate_nonorientable_closed(8)
+        for i, (P, bound) in enumerate(entries):
+            raw = sf.insert_unit_pair(P, i % 5 - 2 or 3)
+            if P.pairs:
+                raw = sf.twist(raw, 1, i % 3 - 1)
+            recorded = max(bound.value - (i % 4 == 1) * (i % 3 + 1), 0)
+            lines.append(f"e{i}\t{sf.format_params(raw)}\t{recorded}\t"
+                         f"{('normalized', 'burton')[i % 2]}")
+            if i % 40 == 7:
+                lines += ["  # a comment inside the table", "", "\t "]
+        (a, _), (b, _), (c, _) = entries[3], entries[50], entries[90]
+        last, bound = entries[-1]
+        lines += [
+            f"violation\t{sf.format_params(last)}\t{bound.value + 3}\tburton",
+            f"zz\t{sf.format_params(a)}\t0\tnormalized",
+            f"same\t{sf.format_params(c)}\t0\tnormalized",
+            f"zz\t{sf.format_params(b)}\t0\tburton",
+            f"aa\t{sf.format_params(b)}\t0\tburton",
+            f"same\t{sf.format_params(sf.insert_unit_pair(c, 1))}\t0\tburton",
+            f"aa\t{sf.format_params(c)}\t0\tnormalized",
+            f"zz\t{sf.format_params(sf.insert_unit_pair(a, -1))}\t0\tburton",
+            # two fibrations, one of them above --cmax 6
+            f"yy\t{sf.format_params(a)}\t0\tnormalized",
+            f"yy\t{sf.format_params(b)}\t9\tnormalized",
+        ]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("argv,code,digest", [
+        ((), 3, "93b6075bc0f97352ee5742ec8587d4b00d8799e59992e5bce0678d24e3113af1"),
+        (("--json",), 3, "71d930fe44a6e4247c90ae120fa8d4b198437613cb89f63d2683aa7d5fc62c35"),
+        (("--cmax", "6"), 0, "4708a37064a1b978def933e3b702e09dff1f54e19216a9e0b39a90e555e2a775"),
+        (("--cmax", "6", "--json"), 0, "6892df548894bf71f70be7b8f27db06a2d875ebf62d4687e2b3d0662b90b6f10"),
+    ], ids=["text", "json", "cmax-text", "cmax-json"])
+    def test_check_output_is_pinned(self, capsys, tmp_path, argv, code,
+                                    digest):
+        table = tmp_path / "table.tsv"
+        table.write_text(self._check_table(), encoding="utf-8")
+        got, out, err = run(capsys, "census", "check", "--file", str(table),
+                            *argv)
+        assert (got, err) == (code, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+    @pytest.mark.parametrize("flags,bytes_per_row", [
+        # measured on this table (tracemalloc peak / rows): text 942 when
+        # every record and graded row was kept until the end, 717 when
+        # the records alone were, 389 when only the report's text is
+        # kept; --json 3,006, 866 and 535
+        ((), 600),
+        (("--json",), 700),
+    ], ids=["text", "json"])
+    def test_check_memory_grows_with_the_report(self, tmp_path, flags,
+                                                bytes_per_row):
+        rng = Random(13)
+        entries = sf.enumerate_nonorientable_closed(10)
+        lines = []
+        while len(lines) < 2000:
+            if rng.random() < 0.5:
+                P, bound = rng.choice(entries)
+                P, value = random_move_word(rng, P, 4), bound.value
+            else:
+                P, value = random_valid(rng), 0
+            lines.append(f"n{len(lines)}\t{sf.format_params(P)}\t{value}\t"
+                         f"{('normalized', 'burton')[len(lines) % 2]}\n")
+        table = tmp_path / "table.tsv"
+        table.write_text("".join(lines), encoding="utf-8")
+        argv = ["census", "check", "--file", str(table), *flags]
+        # the first call compiles the notation pattern and imports json;
+        # the output goes to the null device, so that only the command's
+        # own memory is traced
+        with open(os.devnull, "w") as sink:
+            with contextlib.redirect_stdout(sink):
+                assert main(argv) == 0
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(sink):
+                    code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert code == 0
+        assert peak < bytes_per_row * len(lines)
 
     def test_gen_round_trips_through_check(self, capsys, tmp_path):
         # feed the generated census back in as a table of recorded values

@@ -121,29 +121,21 @@ def enumerate_pairs_by_budget(s_max: int) -> list[tuple[int, int]]:
     return sorted((p, q) for _, p, q in _pairs_with_cf_sum(s_max))
 
 
-def _pair_multisets(pool: list[tuple[int, tuple[int, int]]],
-                    budget: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-    # (cost, multiset) for the multisets of pairs with total cost within
+def _pair_multisets(pool: list[tuple[int, tuple[int, int]]], budget: int,
+                    start: int = 0, spent: int = 0,
+                    multiset: tuple[tuple[int, int], ...] = ()
+                    ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
+    # (cost, multiset) for the multisets that extend multiset, which
+    # costs spent, with pairs from pool[start:] and total cost within
     # budget, each listed once in pool order.  The pool is sorted by
     # cost, so a level stops at the first pair that no longer fits.
-    acc: list[tuple[int, int]] = []
-
-    def rec(start: int, spent: int) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-        yield spent, tuple(acc)
-        for i in range(start, len(pool)):
-            cost, pq = pool[i]
-            if spent + cost > budget:
-                break
-            acc.append(pq)
-            yield from rec(i, spent + cost)
-            acc.pop()
-
-    # rec refers to itself through its closure, and the cycle would keep
-    # the pool alive until the cyclic collector ran, so it is broken here
-    try:
-        yield from rec(0, 0)
-    finally:
-        del rec
+    yield spent, multiset
+    for i in range(start, len(pool)):
+        cost, pq = pool[i]
+        if spent + cost > budget:
+            break
+        yield from _pair_multisets(pool, budget, i, spent + cost,
+                                   multiset + (pq,))
 
 
 def _census_entries(c_max: int) -> Iterator[

@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from collections.abc import Callable, Iterator
@@ -375,7 +376,10 @@ def _gen_budget(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> _ArgumentParser:
+    # built once, on the first call of main: a parser is a web of
+    # reference cycles, which each rebuild would leave to the collector
     parser = _ArgumentParser(
         prog="seifert",
         description="Invariants, canonical forms and complexity bounds "

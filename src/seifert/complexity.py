@@ -44,26 +44,23 @@ _REDUCIBLE_TAGS = frozenset((
 _ZERO_PAIRS = frozenset(((2, 1), (3, 1), (3, 2)))
 
 
+# the bordered spaces of complexity 0 by canonical form, less the
+# one-pair fibrations of the solid torus, which are infinitely many
+_BORDERED_ZERO = {
+    (0, Epsilon.N1, 1, 0, 0, (0,), (), ()): "N x S1",
+    (0, Epsilon.O1, 0, 1, 0, (0,), (), ()): "N x S1",
+    (0, Epsilon.O, 0, 1, 1, (), (0,), ()): "N x~ S1",
+    (0, Epsilon.O1, 0, 0, 0, (0,), (), ()): "D2 x S1",
+    (0, Epsilon.O1, 0, 0, 0, (1,), (), ()): "SK",
+    (0, Epsilon.O1, 0, 0, 0, (1,), (), ((2, 1),)): "N x~ S1",
+}
+
+
 def _bordered_special(P: SeifertParams) -> str | None:
     """Name of P if it is one of the bordered spaces of complexity 0."""
-    shape = (P.b, P.epsilon, P.g, P.t, P.k, P.hplus, P.kminus)
-    if P.r == 0:
-        if shape == (0, Epsilon.N1, 1, 0, 0, (0,), ()):
-            return "N x S1"
-        if shape == (0, Epsilon.O1, 0, 1, 0, (0,), ()):
-            return "N x S1"
-        if shape == (0, Epsilon.O, 0, 1, 1, (), (0,)):
-            return "N x~ S1"
-        if shape == (0, Epsilon.O1, 0, 0, 0, (0,), ()):
-            return "D2 x S1"
-        if shape == (0, Epsilon.O1, 0, 0, 0, (1,), ()):
-            return "SK"
-    elif P.r == 1:
-        if shape == (0, Epsilon.O1, 0, 0, 0, (0,), ()):
-            return "D2 x S1"  # every one-pair fibration of the solid torus
-        if shape == (0, Epsilon.O1, 0, 0, 0, (1,), ()) and P.pairs == ((2, 1),):
-            return "N x~ S1"
-    return None
+    if P.r == 1 and P[:7] == (0, Epsilon.O1, 0, 0, 0, (0,), ()):
+        return "D2 x S1"  # every one-pair fibration of the solid torus
+    return _BORDERED_ZERO.get(P)
 
 
 def _lens_label(p: int, q: int) -> str:

@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import json
 import os
@@ -309,6 +310,8 @@ class TestCensusCommands:
                              "case_tag": bound.case_tag.value,
                              "exact": bound.exact, "label": bound.label}
                             for P, bound in entries]}
+            # the layout, written by hand, is that of json.dumps(doc, indent=2)
+            assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
     def test_gen_formats_once_per_shape_and_b(self, capsys, monkeypatch):
         # an entry with pairs is spelled from its shape's printed head, so
@@ -385,6 +388,64 @@ class TestCensusCommands:
         assert (got, err) == (code, "")
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
+    @pytest.mark.parametrize("cmax,code", [(None, 3), (6, 0)],
+                             ids=["all", "cmax-6"])
+    def test_check_agrees_with_compare(self, capsys, tmp_path, cmax, code):
+        # the command folds the graded rows into its report itself; the
+        # report must be the one compare builds from the same table
+        text = self._check_table()
+        table = tmp_path / "table.tsv"
+        table.write_text(text, encoding="utf-8")
+        report = sf.compare(sf.ingest_census(text), cmax)
+        argv = ["census", "check", "--file", str(table)]
+        if cmax is not None:
+            argv += ["--cmax", str(cmax)]
+
+        lines = [f"{row.name}\t{sf.format_params(row.normalized)}\t"
+                 f"recorded={row.recorded}\tbound={row.bound.value}\t"
+                 f"{row.status}" for row in report.rows]
+        lines.append(f"rows: {len(report.rows)}  sharp: {report.sharp}  "
+                     f"overestimates: {len(report.overestimates)}  "
+                     f"violations: {report.violations}")
+        lines += [f"overestimate: {row.name} [{row.bound.case_tag.value}] "
+                  f"{row.status}" for row in report.overestimates]
+        lines += [f"note: {note}" for note in report.notes]
+        assert run(capsys, *argv) == (code, "\n".join(lines) + "\n", "")
+
+        doc = {
+            "rows": [{
+                "name": row.name,
+                "normalized": sf.format_params(row.normalized),
+                "recorded": row.recorded,
+                "bound": row.bound._asdict(),
+                "status": row.status,
+            } for row in report.rows],
+            "summary": {
+                "rows": len(report.rows),
+                "sharp": report.sharp,
+                "overestimates": len(report.overestimates),
+                "violations": report.violations,
+            },
+            "notes": list(report.notes),
+        }
+        assert run(capsys, *argv, "--json") == (
+            code, json.dumps(doc, indent=2) + "\n", "")
+
+    @pytest.mark.parametrize("text,argv", [
+        ("# only comments\n\n  # and blank lines\n", ()),
+        ("RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\n"
+         "opt\t{0;(n1,2,(0,0));(|);((2,1))}\t7\tburton\n", ("--cmax", "0")),
+    ], ids=["comments-only", "all-above-cmax"])
+    def test_check_json_with_no_rows(self, capsys, tmp_path, text, argv):
+        table = tmp_path / "table.tsv"
+        table.write_text(text, encoding="utf-8")
+        doc = {"rows": [],
+               "summary": {"rows": 0, "sharp": 0, "overestimates": 0,
+                           "violations": 0},
+               "notes": []}
+        assert run(capsys, "census", "check", "--json", "--file", str(table),
+                   *argv) == (0, json.dumps(doc, indent=2) + "\n", "")
+
     @pytest.mark.parametrize("flags,bytes_per_row", [
         # measured on this table (tracemalloc peak / rows): text 942 when
         # every record and graded row was kept until the end, 717 when
@@ -437,6 +498,32 @@ class TestCensusCommands:
         code, out, _ = run(capsys, "census", "check", "--file", str(table))
         assert code == 0
         assert f"sharp: {len(entries)}" in out
+
+
+class TestInProcessCalls:
+    def test_second_call_leaves_no_cyclic_garbage(self, tmp_path):
+        # a long-lived caller of main should not feed the cyclic collector
+        # on every call.  The --json paths are left out: the encoder of
+        # json.dumps(..., indent=2) leaves closures of its own.
+        table = tmp_path / "table.tsv"
+        table.write_text("RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\n"
+                         "X\t{0;(n3,2,(0,0));(|);((3,2))}\t10\tburton\n")
+        params = "{0;(n1,2,(0,0));(|);((2,1))}"
+        for argv in (["bound", params], ["info", params],
+                     ["census", "gen", "--cmax", "8"],
+                     ["census", "check", "--file", str(table)]):
+            with open(os.devnull, "w") as sink, \
+                    contextlib.redirect_stdout(sink):
+                # the first call builds what every later call reuses
+                assert main(argv) == 0
+                gc.collect()
+                gc.disable()
+                try:
+                    assert main(argv) == 0
+                    garbage = gc.collect()
+                finally:
+                    gc.enable()
+            assert garbage == 0, argv
 
 
 class TestHostileInput:

@@ -17,7 +17,9 @@ goes to ``_Scanner``, the token-by-token reader that is the one place a
 ``ParseError`` is raised, at the offset of the first bad token.  So does
 input longer than ``_digit_cap()``, the cap on the digits of all
 integers of one input together: text within that length cannot hold
-more digits than the cap, so only the scanner has to count them.
+more digits than the cap, so only the scanner has to count them.  The
+scanner thus reads only refused or over-long text; the tests pin its
+every message and offset by one digest.
 
 ``format_params`` emits the canonical spelling (no whitespace), so
 ``parse_params(format_params(x)) == x`` for every valid x.  Its pair
@@ -32,7 +34,6 @@ import sys
 from .core import Epsilon, SeifertParams
 
 _DIGITS = "0123456789"
-_EPS_CHARS = "on1234"
 _EPSILONS = {eps.value: eps for eps in Epsilon}
 
 # int() and str() refuse more digits than sys.get_int_max_str_digits()
@@ -84,72 +85,62 @@ class _Scanner:
         self.digits = 0
         self.digit_cap = _digit_cap()
 
-    def _skip_ws(self) -> None:
+    def peek(self) -> str:
+        """Skip whitespace; the next character, "" at the end."""
         while self.pos < len(self.text) and self.text[self.pos].isspace():
             self.pos += 1
+        return self.text[self.pos:self.pos + 1]
 
-    def peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch: str) -> None:
-        got = self.peek()
-        if got != ch:
-            shown = repr(got) if got else "end of input"
-            raise ParseError(self.pos, f"expected {ch!r}, found {shown}")
-        self.pos += 1
+    def expect(self, literal: str) -> None:
+        """Read literal one character at a time, skipping whitespace."""
+        for ch in literal:
+            got = self.peek()
+            if got != ch:
+                shown = repr(got) if got else "end of input"
+                raise ParseError(self.pos, f"expected {ch!r}, found {shown}")
+            self.pos += 1
 
     def integer(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        if self.pos < len(self.text) and self.text[self.pos] == "-":
-            self.pos += 1
+        sign = self.peek() == "-"
+        self.pos += sign
+        return self._number(self.pos - sign, "expected an integer")
+
+    def natural(self) -> int:
+        self.peek()
+        return self._number(self.pos, "expected a non-negative integer")
+
+    def _number(self, start: int, message: str) -> int:
+        # int(text[start:]) up to the last digit; a sign counts as a digit
         first_digit = self.pos
         while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
         if self.pos == first_digit:
-            raise ParseError(start, "expected an integer")
-        return self._value(start)
-
-    def natural(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError(start, "expected a non-negative integer")
-        return self._value(start)
-
-    def _value(self, start: int) -> int:
+            raise ParseError(start, message)
         self.digits += self.pos - start
         if self.digit_cap and self.digits > self.digit_cap:
-            raise ParseError(
-                start, "integer has too many digits (at most "
-                f"{self.digit_cap} in all)")
+            raise ParseError(start, "integer has too many digits "
+                             f"(at most {self.digit_cap} in all)")
         return int(self.text[start:self.pos])
 
     def epsilon(self) -> Epsilon:
-        self._skip_ws()
+        self.peek()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos] in _EPS_CHARS:
+        while self.pos < len(self.text) and self.text[self.pos].isalnum():
             self.pos += 1
         word = self.text[start:self.pos]
         try:
             return Epsilon(word)
         except ValueError:
-            raise ParseError(
-                start,
-                f"unknown symbol {word!r}; expected one of "
-                "o, o1, o2, n, n1, n2, n3, n4") from None
+            raise ParseError(start, f"unknown symbol {word!r}; expected one "
+                             "of o, o1, o2, n, n1, n2, n3, n4") from None
 
-    def natural_list(self, terminator: str) -> tuple[int, ...]:
-        if self.peek() == terminator:
-            return ()
-        values = [self.natural()]
+    def items(self, read) -> list:
+        """read() once, then again after each ","."""
+        values = [read()]
         while self.peek() == ",":
             self.pos += 1
-            values.append(self.natural())
-        return tuple(values)
+            values.append(read())
+        return values
 
     def pair(self) -> tuple[int, int]:
         self.expect("(")
@@ -158,20 +149,6 @@ class _Scanner:
         q = self.integer()
         self.expect(")")
         return (p, q)
-
-    def pair_list(self) -> tuple[tuple[int, int], ...]:
-        self.expect("(")
-        pairs = [self.pair()]
-        while self.peek() == ",":
-            self.pos += 1
-            pairs.append(self.pair())
-        self.expect(")")
-        return tuple(pairs)
-
-    def finish(self) -> None:
-        self._skip_ws()
-        if self.pos != len(self.text):
-            raise ParseError(self.pos, "unexpected trailing input")
 
 
 def parse_params(text: str) -> SeifertParams:
@@ -201,30 +178,27 @@ def _scan_params(text: str) -> SeifertParams:
     s = _Scanner(text)
     s.expect("{")
     b = s.integer()
-    s.expect(";")
-    s.expect("(")
+    s.expect(";(")
     eps = s.epsilon()
     s.expect(",")
     g = s.natural()
-    s.expect(",")
-    s.expect("(")
+    s.expect(",(")
     t = s.natural()
     s.expect(",")
     k = s.natural()
-    s.expect(")")
-    s.expect(")")
-    s.expect(";")
-    s.expect("(")
-    hplus = s.natural_list("|")
+    s.expect("));(")
+    hplus = () if s.peek() == "|" else s.items(s.natural)
     s.expect("|")
-    kminus = s.natural_list(")")
-    s.expect(")")
-    s.expect(";")
-    pairs: tuple[tuple[int, int], ...] = ()
+    kminus = () if s.peek() == ")" else s.items(s.natural)
+    s.expect(");")
+    pairs = ()
     if s.peek() == "(":
-        pairs = s.pair_list()
+        s.expect("(")
+        pairs = s.items(s.pair)
+        s.expect(")")
     s.expect("}")
-    s.finish()
+    if s.peek():
+        raise ParseError(s.pos, "unexpected trailing input")
     return SeifertParams(b, eps, g, t, k, hplus, kminus, pairs)
 
 

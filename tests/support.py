@@ -259,9 +259,7 @@ def census_by_normalizing(c_max: int) -> dict:
     every admissible closed non-orientable shape, with b = 0 and b = 1,
     normalized, with the duplicates folded in a dict, keeping the forms
     whose bound fits.  It builds in none of the canonical-form rules the
-    enumerator walks by."""
-    from seifert.census import _pair_multisets
-
+    enumerator walks by, nor the enumerator's multiset walk."""
     # 6(1 - chi) + 6t >= 0 on these shapes, so a pair costs at most c_max
     pool = sorted((sum(cf_coefficients(p, q)) + 1, (p, q))
                   for p, q in sf.enumerate_pairs_by_budget(c_max - 1))
@@ -277,13 +275,24 @@ def census_by_normalizing(c_max: int) -> dict:
                     shape = sf.SeifertParams(0, eps, g, t, k)
                     if sf.validate(shape) or sf.is_orientable(shape):
                         continue
-                    for _, pairs in _pair_multisets(pool, c_max - fixed):
+                    for pairs in _multisets_within(pool, c_max - fixed):
                         for b in (0, 1):
                             P = sf.normalize(sf.SeifertParams(
                                 b, eps, g, t, k, (), (), pairs))
                             if P not in found:
                                 found[P] = sf.upper_bound(P)
     return {P: bd for P, bd in found.items() if bd.value <= c_max}
+
+
+def _multisets_within(pool: list, budget: int):
+    """The multisets of pool, a list of (cost, pair) sorted by cost,
+    whose costs add up to at most budget, as tuples of pairs."""
+    yield ()
+    for i, (cost, pq) in enumerate(pool):
+        if cost > budget:
+            break
+        for rest in _multisets_within(pool[i:], budget - cost):
+            yield (pq,) + rest
 
 
 def _multiset_counts(types: dict[int, int], budget: int) -> list[int]:

@@ -155,6 +155,12 @@ class TestExitCodes:
         code, _, err = run(capsys, "normalize", "{0;(o1,0,(0,0);(|);}")
         assert code == 1 and "parse error" in err
 
+    def test_unknown_eps_word_is_named_whole(self, capsys):
+        code, out, err = run(capsys, "bound", "{0;(N1,1,(0,0));(|);}")
+        assert code == 1 and out == ""
+        assert err == ("parse error at position 4: unknown symbol 'N1'; "
+                       "expected one of o, o1, o2, n, n1, n2, n3, n4\n")
+
     def test_usage_error_is_one(self, capsys):
         code, _, _ = run(capsys, "no-such-command")
         assert code == 1

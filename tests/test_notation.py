@@ -1,3 +1,4 @@
+import hashlib
 import sys
 from random import Random
 
@@ -8,6 +9,25 @@ from seifert.notation import _scan_params
 from support import (ODD_SPELLINGS, PAPER_PARAM_STRINGS, int_digit_limit,
                      mutated, near_digit_cap, parse_outcome, random_valid,
                      respaced, with_epsilon)
+
+
+# the message and offset of the ParseError of each spelling
+SYNTAX_ERRORS = {
+    "": ("expected '{', found end of input", 0),
+    "{0;(o,4,(1,1));(1|0)": ("expected ';', found end of input", 20),
+    "{0;(q,4,(1,1));(1|0);}": (
+        "unknown symbol 'q'; expected one of o, o1, o2, n, n1, n2, n3, n4", 4),
+    "{0;(N1,1,(0,0));(|);}": (
+        "unknown symbol 'N1'; expected one of o, o1, o2, n, n1, n2, n3, n4", 4),
+    "{0;(n5,1,(0,0));(|);}": (
+        "unknown symbol 'n5'; expected one of o, o1, o2, n, n1, n2, n3, n4", 4),
+    "{0;(o,-4,(1,1));(1|0);}": ("expected a non-negative integer", 6),
+    "{0;(o,4,(1,1));(1|0);()}": ("expected '(', found ')'", 22),
+    "{0;(o,4,(1,1));(1|0);} trailing": ("unexpected trailing input", 23),
+    "{0;(o,4,(1,1));(1,0);}": ("expected '|', found ')'", 19),
+    "{x;(o,4,(1,1));(1|0);}": ("expected an integer", 1),
+    "{0;(o 1,4,(1,1));(1|0);}": ("expected ',', found '1'", 6),
+}
 
 
 class TestParse:
@@ -37,22 +57,13 @@ class TestParse:
         assert sf.parse_params(spaced) == \
             sf.parse_params("{0;(o,4,(1,1));(1|0);((3,1),(5,2))}")
 
-    @pytest.mark.parametrize("text", [
-        "",
-        "{0;(o,4,(1,1));(1|0)",
-        "{0;(q,4,(1,1));(1|0);}",
-        "{0;(o,-4,(1,1));(1|0);}",
-        "{0;(o,4,(1,1));(1|0);()}",
-        "{0;(o,4,(1,1));(1|0);} trailing",
-        "{0;(o,4,(1,1));(1,0);}",
-        "{x;(o,4,(1,1));(1|0);}",
-        "{0;(o 1,4,(1,1));(1|0);}",
-    ])
+    @pytest.mark.parametrize("text", SYNTAX_ERRORS)
     def test_syntax_errors_carry_positions(self, text):
+        message, pos = SYNTAX_ERRORS[text]
         with pytest.raises(sf.ParseError) as err:
             sf.parse_params(text)
-        assert "position" in str(err.value)
-        assert err.value.pos >= 0
+        assert str(err.value) == f"parse error at position {pos}: {message}"
+        assert err.value.pos == pos
 
     @pytest.mark.skipif(not int_digit_limit(), reason="int() reads any length")
     @pytest.mark.parametrize("template,pos", [
@@ -78,6 +89,11 @@ class TestParse:
             sf.parse_params(text)
         assert err.value.pos == text.index("(3,1)") + 1
         assert "too many digits" in str(err.value)
+        # and a sign counts as a digit: k is one too many
+        text = "{-%s;(n1,1,(0,0));(|);}" % b
+        with pytest.raises(sf.ParseError) as err:
+            sf.parse_params(text)
+        assert err.value.pos == text.index(",0)") + 1
 
     @pytest.mark.skipif(not int_digit_limit(), reason="int() reads any length")
     def test_digit_cap_follows_a_limit_set_after_import(self):
@@ -99,6 +115,9 @@ class TestPatternAgreesWithScanner:
     everything else to the scanner; both must give the same answer."""
 
     def test_seeded_corpus(self):
+        # agreement on values only: every input the pattern refuses goes
+        # through _scan_params on both sides, so the errors are compared
+        # with themselves; test_parse_answers_are_pinned pins those
         rng = Random(29)
         corpus = list(ODD_SPELLINGS) + near_digit_cap()
         for _ in range(1500):
@@ -115,6 +134,45 @@ class TestPatternAgreesWithScanner:
             kinds.append(outcome[0])
         # the corpus reaches both answers, each many times
         assert kinds.count("value") > 3000 and kinds.count("error") > 3000
+
+
+# sha256 of the answers of parse_params to pinned_parse_corpus(), one
+# line each: the class name and canonical spelling of the value, or the
+# message and offset of the ParseError
+PINNED_ANSWERS = (
+    "20a5c0182be60c434dc776b1e8d2b5d9b8b178565a37dae89331fed7d7d57738")
+
+
+def pinned_parse_corpus() -> list[str]:
+    """About 20,000 spellings: canonical texts, respaced, mutated,
+    truncated and with odd eps words, and ODD_SPELLINGS.  None is long
+    enough to reach the digit cap, so the answers do not depend on the
+    interpreter's digit limit."""
+    rng = Random(43)
+    corpus = list(ODD_SPELLINGS)
+    for _ in range(2500):
+        text = sf.format_params(random_valid(rng))
+        spaced = respaced(rng, text)
+        odd = with_epsilon(text, rng.choice(["N1", "q", "n5", "o3", ""]))
+        corpus += [text, spaced, mutated(rng, text), mutated(rng, spaced),
+                   text[:rng.randrange(len(text))],
+                   spaced[:rng.randrange(len(spaced))],
+                   odd, respaced(rng, odd)]
+    return corpus
+
+
+def test_parse_answers_are_pinned():
+    # every message and offset of the scanner, and every value, as one
+    # digest: a rewrite of the scanner must leave it unchanged
+    answers = []
+    for text in pinned_parse_corpus():
+        kind, first, second = parse_outcome(sf.parse_params, text)
+        answers.append(f"{first}\t{second}" if kind == "error" else
+                       f"{first.__name__}\t{sf.format_params(second)}")
+    errors = sum(answer.startswith("parse error") for answer in answers)
+    assert len(answers) > 20000 and 5000 < errors < len(answers) - 5000
+    digest = hashlib.sha256("\n".join(answers).encode()).hexdigest()
+    assert digest == PINNED_ANSWERS
 
 
 class TestFastPath:

@@ -5,6 +5,10 @@ census gen, census check.  Default output is human-readable text;
 ``--json`` switches to a single JSON document whose field names mirror
 the library types.
 
+Each command returns its exit code and its text, as chunks, and does no
+output of its own; ``main`` alone writes the text, to stdout or to
+``--out``, and reports a failed write as ``cannot write ...``.
+
 ``json`` is imported only on the ``--json`` paths, so a one-shot text
 command does not load it.
 
@@ -86,22 +90,21 @@ def _parse_valid(text: str) -> NormalizedSeifertParams:
             "invalid parameters:\n  " + "\n  ".join(validate(params))) from exc
 
 
-def _emit(args, doc: dict, lines: list[str]) -> None:
+def _emit(args, doc: dict, lines: list[str]) -> tuple[int, list[str]]:
+    # a one-shot command's answer: doc under --json, else lines
     if args.json:
         import json
 
-        print(json.dumps(doc, indent=2))
-    else:
-        print("\n".join(lines))
+        return EXIT_OK, [json.dumps(doc, indent=2), "\n"]
+    return EXIT_OK, ["\n".join(lines), "\n"]
 
 
-def _cmd_normalize(args) -> int:
+def _cmd_normalize(args) -> tuple[int, list[str]]:
     result = format_params(_parse_valid(args.params))
-    _emit(args, {"params": args.params, "normalized": result}, [result])
-    return EXIT_OK
+    return _emit(args, {"params": args.params, "normalized": result}, [result])
 
 
-def _cmd_eq(args) -> int:
+def _cmd_eq(args) -> tuple[int, list[str]]:
     left = _parse_valid(args.left)
     right = _parse_valid(args.right)
     same = left == right
@@ -110,11 +113,10 @@ def _cmd_eq(args) -> int:
         "normalized_left": format_params(left),
         "normalized_right": format_params(right),
     }
-    _emit(args, doc, ["equivalent" if same else "not equivalent"])
-    return EXIT_OK
+    return _emit(args, doc, ["equivalent" if same else "not equivalent"])
 
 
-def _cmd_bound(args) -> int:
+def _cmd_bound(args) -> tuple[int, list[str]]:
     P = _parse_valid(args.params)
     bound = upper_bound(P)
     note = sharper_bound_note(P)
@@ -131,21 +133,19 @@ def _cmd_bound(args) -> int:
         lines.append(f"label: {bound.label}")
     if note:
         lines.append(note)
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return _emit(args, doc, lines)
 
 
-def _cmd_reverse(args) -> int:
+def _cmd_reverse(args) -> tuple[int, list[str]]:
     params = _parse_valid(args.params)
     try:
         result = format_params(reverse_orientation(params))
     except ValueError as exc:
         raise _CliError(EXIT_INVALID, str(exc)) from exc
-    _emit(args, {"params": args.params, "reversed": result}, [result])
-    return EXIT_OK
+    return _emit(args, {"params": args.params, "reversed": result}, [result])
 
 
-def _cmd_info(args) -> int:
+def _cmd_info(args) -> tuple[int, list[str]]:
     P = _parse_valid(args.params)
     profile = boundary_profile(P)
     orbifold = orbifold_summary(P)
@@ -175,11 +175,10 @@ def _cmd_info(args) -> int:
         f"{orbifold.underlying_boundary_components} boundary components, "
         f"{orbifold.minus_decorations} '-' decorations",
     ]
-    _emit(args, doc, lines)
-    return EXIT_OK
+    return _emit(args, doc, lines)
 
 
-def _cmd_conjecture(args) -> int:
+def _cmd_conjecture(args) -> tuple[int, list[str]]:
     P = _parse_valid(args.params)
     try:
         value = conjectured_complexity(P)
@@ -193,8 +192,8 @@ def _cmd_conjecture(args) -> int:
     doc = {"params": args.params,
            "normalized": format_params(P),
            "conjectured_complexity": value, "note": note}
-    _emit(args, doc, [note if value is None else f"conjectured complexity: {value}"])
-    return EXIT_OK
+    return _emit(args, doc, [note if value is None
+                             else f"conjectured complexity: {value}"])
 
 
 def _census_rows(cmax: int, prefix: str,
@@ -251,20 +250,6 @@ def _census_lines(args) -> Iterator[str]:
     yield from lines
 
 
-def _cmd_census_gen(args) -> int:
-    if not args.out:
-        sys.stdout.writelines(_census_lines(args))
-        return EXIT_OK
-    # --out is opened before the enumeration, so an unwritable path
-    # fails at once rather than after the whole run
-    try:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.writelines(_census_lines(args))
-    except OSError as exc:
-        raise _CliError(EXIT_USAGE, f"cannot write {args.out}: {exc}") from exc
-    return EXIT_OK
-
-
 def _utf8_lines(handle):
     # The file is read with errors="surrogateescape", which turns each
     # undecodable byte into a lone surrogate; the first one is an error.
@@ -278,14 +263,12 @@ def _utf8_lines(handle):
         yield line
 
 
-def _cmd_census_check(args) -> int:
+def _cmd_census_check(args) -> tuple[int, list[str]]:
     # Each row is graded and spelled as it is read, and only the text of
-    # the report is kept; it is written after the last row, so a
+    # the report is kept; it is returned after the last row, so a
     # malformed row leaves stdout empty.
     if args.json:
-        import json
-
-        dumps = json.dumps
+        from json import dumps
     rows: list[str] = []
     overestimated: list[str] = []  # the overestimate lines of the text
     sharp = overestimates = violations = 0
@@ -326,11 +309,8 @@ def _cmd_census_check(args) -> int:
     except CensusFormatError as exc:
         raise _CliError(EXIT_INVALID, f"{args.file}: {exc}") from exc
     notes = names.notes()
-    out = sys.stdout
+    code = EXIT_VIOLATION if violations else EXIT_OK
     if args.json:
-        out.write('{\n  "rows": ')
-        out.writelines(rows)
-        out.write("\n  ]" if rows else "[]")
         # the rest of doc, after its rows
         rest = dumps({
             "summary": {
@@ -341,15 +321,14 @@ def _cmd_census_check(args) -> int:
             },
             "notes": list(notes),
         }, indent=2)
-        out.write("," + rest[1:] + "\n")
-    else:
-        out.writelines(rows)
-        out.write(f"rows: {len(rows)}  sharp: {sharp}  "
+        return code, ['{\n  "rows": ', *rows, "\n  ]" if rows else "[]",
+                      "," + rest[1:] + "\n"]
+    return code, [*rows,
+                  f"rows: {len(rows)}  sharp: {sharp}  "
                   f"overestimates: {overestimates}  "
-                  f"violations: {violations}\n")
-        out.writelines(overestimated)
-        out.writelines(f"note: {note}\n" for note in notes)
-    return EXIT_VIOLATION if violations else EXIT_OK
+                  f"violations: {violations}\n",
+                  *overestimated,
+                  *(f"note: {note}\n" for note in notes)]
 
 
 def _budget(text: str) -> int:
@@ -386,48 +365,45 @@ def _build_parser() -> _ArgumentParser:
                     "of Seifert fibre spaces in bracket notation.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, func, help_text, subparsers=sub):
+    # only census gen takes --out; the other commands write to stdout
+    parser.set_defaults(out=None)
+
+    def add(name, func, help_text, *positionals, subparsers=sub):
         p = subparsers.add_parser(name, help=help_text)
         p.add_argument("--json", action="store_true",
                        help="emit a JSON document instead of text")
+        for positional in positionals:
+            p.add_argument(positional)
         p.set_defaults(func=func)
         return p
 
-    p = add("normalize", _cmd_normalize, "print the canonical form")
-    p.add_argument("params")
-
-    p = add("eq", _cmd_eq,
-            "test fibre-preserving equivalence of two parameter sets")
-    p.add_argument("left")
-    p.add_argument("right")
-
-    p = add("bound", _cmd_bound, "complexity upper bound with case tag")
-    p.add_argument("params")
-
-    p = add("reverse", _cmd_reverse,
-            "canonical form of the orientation-reversed space")
-    p.add_argument("params")
-
-    p = add("info", _cmd_info,
-            "orientability, closedness, boundary and base orbifold")
-    p.add_argument("params")
-
-    p = add("conjecture", _cmd_conjecture,
-            "conjectured exact complexity (closed non-orientable)")
-    p.add_argument("params")
+    add("normalize", _cmd_normalize, "print the canonical form", "params")
+    add("eq", _cmd_eq,
+        "test fibre-preserving equivalence of two parameter sets",
+        "left", "right")
+    add("bound", _cmd_bound, "complexity upper bound with case tag",
+        "params")
+    add("reverse", _cmd_reverse,
+        "canonical form of the orientation-reversed space", "params")
+    add("info", _cmd_info,
+        "orientability, closedness, boundary and base orbifold", "params")
+    add("conjecture", _cmd_conjecture,
+        "conjectured exact complexity (closed non-orientable)", "params")
 
     census_parser = sub.add_parser("census", help="census tools")
     census_sub = census_parser.add_subparsers(dest="census_command",
                                               required=True)
 
-    p = add("gen", _cmd_census_gen,
+    # the listing is a lazy generator, walked only as main writes it,
+    # so --out is opened before the walk
+    p = add("gen", lambda args: (EXIT_OK, _census_lines(args)),
             "enumerate the closed non-orientable census up to a bound budget",
-            census_sub)
+            subparsers=census_sub)
     p.add_argument("--cmax", type=_gen_budget, required=True)
     p.add_argument("--out", help="write to a file instead of stdout")
 
     p = add("check", _cmd_census_check,
-            "compare the bound against a census TSV", census_sub)
+            "compare the bound against a census TSV", subparsers=census_sub)
     p.add_argument("--file", required=True)
     p.add_argument("--cmax", type=_budget, default=None)
 
@@ -438,21 +414,28 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        code = args.func(args)
-        # flushed here so that a closed pipe is reported below
-        sys.stdout.flush()
-        return code
+        code, chunks = args.func(args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
-    except BrokenPipeError as exc:
-        # The reader of stdout went away.  Point stdout at devnull so the
-        # flush at interpreter exit does not raise again.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        print(f"cannot write stdout: {exc}", file=sys.stderr)
+    try:
+        if args.out:
+            with open(args.out, "w", encoding="utf-8", newline="\n") as out:
+                out.writelines(chunks)
+        else:
+            sys.stdout.writelines(chunks)
+            # flushed here so that a failed write is reported below
+            sys.stdout.flush()
+    except OSError as exc:
+        if not args.out:
+            # Point stdout at devnull so the flush at interpreter exit
+            # does not raise again.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+        print(f"cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return code
 
 
 if __name__ == "__main__":

@@ -13,7 +13,8 @@ import pytest
 
 import seifert as sf
 from seifert.cli import main
-from support import int_digit_limit, random_move_word, random_valid
+from support import (int_digit_limit, mutated, random_move_word,
+                     random_valid, with_epsilon)
 
 
 def run(capsys, *argv):
@@ -150,6 +151,52 @@ class TestBasicCommands:
         assert loaded == set()
 
 
+# sha256 of the answers of main to oneshot_corpus(), one line each: the
+# argv, exit code, stdout and stderr of the call
+PINNED_ONESHOT = (
+    "f348f0112e5c634a85bb140a1f91e2f482b89ada57aed7b04d044d04149917cc")
+
+
+def oneshot_corpus() -> list[list[str]]:
+    """About 3,400 command lines of the one-shot commands, text and
+    --json: random valid sets, census entries rewritten by move words,
+    mutated spellings and swapped eps words (parse errors and invalid
+    sets), and sets each command refuses or answers specially.  No integer comes near the
+    digit cap, so the answers do not depend on the interpreter."""
+    rng = Random(47)
+    entries = [P for P, _ in sf.enumerate_nonorientable_closed(9)]
+    texts = ["{0;(n1,1,(0,0));(|);}", "{3;(o1,0,(0,0));(|);((2,1),(3,1))}",
+             "{0;(o1,0,(1,0));(0|);((3,1))}", "{0;(n,2,(1,1));(0|2);((3,1))}",
+             "{0;(n4,1,(0,1));(|);((4,2))}", "{0;(o1,0,(0,0);(|);}"]
+    pairs = []
+    for _ in range(60):
+        P = rng.choice(entries)
+        raw = sf.format_params(random_valid(rng))
+        moved = sf.format_params(random_move_word(rng, P, 4))
+        again = sf.format_params(random_move_word(rng, P, 4))
+        texts += [raw, moved, mutated(rng, raw), mutated(rng, moved),
+                  with_epsilon(raw, rng.choice(["o", "o1", "n1", "n4"]))]
+        pairs += [(moved, again), (raw, moved), (mutated(rng, again), raw)]
+    argvs = [[command, text] for text in texts
+             for command in ("normalize", "bound", "reverse", "info",
+                             "conjecture")]
+    argvs += [["eq", left, right] for left, right in pairs]
+    return [argv[:1] + flags + argv[1:]
+            for argv in argvs for flags in ([], ["--json"])]
+
+
+def test_oneshot_answers_are_pinned(capsys):
+    # every answer of the one-shot commands as one digest: a change to
+    # how the CLI writes must leave it unchanged
+    answers = [(argv, *run(capsys, *argv)) for argv in oneshot_corpus()]
+    codes = [code for _, code, _, _ in answers]
+    assert len(answers) > 2500
+    assert all(codes.count(code) > 100 for code in (0, 1, 2))
+    digest = hashlib.sha256(
+        "\n".join(map(repr, answers)).encode()).hexdigest()
+    assert digest == PINNED_ONESHOT
+
+
 class TestExitCodes:
     def test_parse_error_is_one(self, capsys):
         code, _, err = run(capsys, "normalize", "{0;(o1,0,(0,0);(|);}")
@@ -280,9 +327,13 @@ class TestCensusCommands:
         assert out.startswith("RP2xS1\t{0;(n1,1,(0,0));(|);}\t")
 
     def test_check_missing_file_is_one(self, capsys, tmp_path):
-        code, _, _ = run(capsys, "census", "check", "--file",
-                         str(tmp_path / "absent.tsv"))
-        assert code == 1
+        # a file that cannot be read is reported as such, never as a
+        # failed write
+        for path in (tmp_path / "absent.tsv", tmp_path):
+            code, out, err = run(capsys, "census", "check", "--file",
+                                 str(path))
+            assert (code, out) == (1, "")
+            assert err.startswith(f"cannot read {path}: ")
 
     @pytest.mark.parametrize("argv,digest", [
         (("--cmax", "15"), "b67935a82b9c73fb519b9f4607133a9aff87e79874635cd2ad1e69b1bc265af4"),
@@ -515,8 +566,13 @@ class TestInProcessCalls:
         table.write_text("RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\n"
                          "X\t{0;(n3,2,(0,0));(|);((3,2))}\t10\tburton\n")
         params = "{0;(n1,2,(0,0));(|);((2,1))}"
-        for argv in (["bound", params], ["info", params],
+        orientable = "{-1;(o1,0,(0,0));(|);((2,1),(3,1),(5,2))}"
+        for argv in (["normalize", params], ["eq", params, orientable],
+                     ["bound", params], ["reverse", orientable],
+                     ["info", params], ["conjecture", params],
                      ["census", "gen", "--cmax", "8"],
+                     ["census", "gen", "--cmax", "8",
+                      "--out", str(tmp_path / "census.tsv")],
                      ["census", "check", "--file", str(table)]):
             with open(os.devnull, "w") as sink, \
                     contextlib.redirect_stdout(sink):
@@ -633,6 +689,29 @@ class TestHostileInput:
         assert code == 1
         assert "Traceback" not in err and "Exception ignored" not in err
         assert "cannot write stdout" in err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full to fill")
+    @pytest.mark.parametrize("argv", [
+        ("bound", "{0;(n1,1,(0,0));(|);}"),
+        ("census", "gen", "--cmax", "10"),
+        ("census", "check", "--file", "table.tsv", "--json"),
+    ], ids=["bound", "census-gen", "census-check"])
+    def test_full_stdout_is_one(self, tmp_path, argv):
+        # a short answer fails when main flushes it, a long listing while
+        # it is written; either way one line on stderr and exit 1
+        (tmp_path / "table.tsv").write_text(
+            "RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\n")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "seifert", *argv],
+                                  stdout=full, stderr=subprocess.PIPE,
+                                  cwd=tmp_path, env=env, text=True,
+                                  timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "cannot write stdout: [Errno 28] No space left on device\n")
 
     @pytest.mark.parametrize("argv", [
         ("census", "gen", "--cmax", "-3"),

@@ -1,15 +1,9 @@
-"""Seifert fibre spaces: canonical forms, complexity bounds, census tools."""
+"""Seifert fibre spaces: canonical forms, complexity bounds, census tools.
 
-from .census import (
-    CensusFormatError,
-    CensusRecord,
-    ComparisonReport,
-    ComparisonRow,
-    compare,
-    enumerate_nonorientable_closed,
-    enumerate_pairs_by_budget,
-    ingest_census,
-)
+The ``census`` module, and the names below that it defines, load on
+first use, so a process that never asks for them does not compile it.
+"""
+
 from .complexity import (
     conjectured_complexity,
     sharper_bound_note,
@@ -93,3 +87,29 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+_CENSUS_NAMES = frozenset({
+    "CensusFormatError",
+    "CensusRecord",
+    "ComparisonReport",
+    "ComparisonRow",
+    "compare",
+    "enumerate_nonorientable_closed",
+    "enumerate_pairs_by_budget",
+    "ingest_census",
+})
+
+
+def __getattr__(name):
+    # called only for a name the module does not bind: the census names,
+    # and the census module itself until it is first imported
+    if name == "census" or name in _CENSUS_NAMES:
+        from importlib import import_module
+
+        census = import_module(".census", __name__)
+        return census if name == "census" else getattr(census, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted(globals().keys() | _CENSUS_NAMES | {"census"})

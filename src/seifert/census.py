@@ -44,12 +44,17 @@ tuples, like the records of ``core``.  ``ingest_census`` and ``compare``
 collect the generators ``_records`` and ``_graded``, which yield one
 record and one graded row at a time, so a caller that keeps less than
 every row can grade a table while reading it.
+
+The text of ``seifert census gen`` and ``seifert census check`` is
+spelled here too, by ``_census_lines`` and ``_check_report``, as chunks
+for ``cli.main`` to write.  It lives here rather than in ``cli``
+because ``cli`` imports this module only when a census command runs.
 """
 from __future__ import annotations
 
 import io
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from itertools import product
 from operator import itemgetter
 
@@ -310,3 +315,137 @@ def compare(records: Iterable[CensusRecord],
         violations=sum(1 for row in rows if row.status == "violation"),
         notes=names.notes(),
     )
+
+
+# The text of the census commands; cli parses the arguments, opens the
+# files and writes these chunks.
+
+def _census_rows(c_max: int, prefix: str,
+                 columns: Callable[[ComplexityBound], str]) -> list[str]:
+    # prefix + printed form + columns(bound) for each census entry,
+    # sorted.  A census has few distinct bounds, one per shape and pair
+    # cost besides the special pairless ones, so each is spelled once.
+    spelled: dict[ComplexityBound, str] = {}
+    rows = []
+    for text, bound, _, _, _ in _census_entries(c_max):
+        tail = spelled.get(bound)
+        if tail is None:
+            tail = spelled[bound] = columns(bound)
+        rows.append(f"{prefix}{text}{tail}")
+    rows.sort()
+    return rows
+
+
+def _json_bound(bound: ComplexityBound, indent: str) -> str:
+    # the fields of a bound as json.dumps(doc, indent=2) lays them out
+    # at the given indent inside doc
+    from json import dumps
+
+    return (f'{indent}"value": {bound.value},\n'
+            f'{indent}"case_tag": {dumps(bound.case_tag.value)},\n'
+            f'{indent}"exact": {dumps(bound.exact)},\n'
+            f'{indent}"label": {dumps(bound.label)}')
+
+
+def _census_lines(c_max: int, as_json: bool) -> Iterator[str]:
+    # the census gen listing, text or JSON, in chunks
+    if as_json:
+        # one JSON text per entry, in json.dumps(doc, indent=2) layout;
+        # a printed form is ASCII without quotes or backslashes, so it
+        # is its own JSON string.  The quote after it sorts below every
+        # printed character, so the rows sort as the texts do.
+        rows = _census_rows(
+            c_max, '    {\n      "params": "',
+            lambda bound: f'",\n{_json_bound(bound, "      ")}\n    }}')
+        yield (f'{{\n  "cmax": {c_max},\n  "count": {len(rows)},\n'
+               f'  "entries": [\n')
+        yield from (row + ",\n" for row in rows[:-1])
+        yield rows[-1] + "\n  ]\n}\n"
+        return
+    # the tab after the printed form sorts below every printed character
+    # and no two entries share a form, so the lines sort as the forms do
+    lines = _census_rows(
+        c_max, "",
+        lambda bound: (f"\t{bound.value}\t{bound.case_tag.value}\t"
+                       f"{'yes' if bound.exact else 'no'}\t"
+                       f"{bound.label or '-'}\n"))
+    yield (f"# closed non-orientable census, bound <= {c_max} "
+           f"({len(lines)} entries)\n")
+    yield "# params\tvalue\tcase_tag\texact\tlabel\n"
+    yield from lines
+
+
+def _utf8_lines(handle: Iterable[str]) -> Iterator[str]:
+    # cli reads the file with errors="surrogateescape", which turns each
+    # undecodable byte into a lone surrogate; the first one is an error.
+    for lineno, line in enumerate(handle, start=1):
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError as exc:
+            byte = ord(line[exc.start]) - 0xDC00
+            raise CensusFormatError(
+                lineno, f"byte 0x{byte:02x} is not valid UTF-8") from None
+        yield line
+
+
+def _check_report(handle: Iterable[str], c_max: int | None,
+                  as_json: bool) -> tuple[int, list[str]]:
+    # The number of violations and the census check report, text or
+    # JSON, of the table read from handle.  Each row is graded and
+    # spelled as it is read, and only the text of the report is kept;
+    # it is returned after the last row, so a malformed row leaves
+    # stdout empty.
+    if as_json:
+        from json import dumps
+    rows: list[str] = []
+    overestimated: list[str] = []  # the overestimate lines of the text
+    sharp = overestimates = violations = 0
+    names = _FibrationsByName()
+    for row in _graded(_records(_utf8_lines(handle)), c_max):
+        name, bound, status = row.name, row.bound, row.status
+        form = format_params(row.normalized)
+        names.add(name, form)
+        if status == "sharp":
+            sharp += 1
+        elif status == "violation":
+            violations += 1
+        else:
+            overestimates += 1
+            if not as_json:
+                overestimated.append(
+                    f"overestimate: {name} [{bound.case_tag.value}] "
+                    f"{status}\n")
+        if as_json:
+            # the row as json.dumps(doc, indent=2) lays it out in the
+            # rows of doc, with the text before it
+            rows.append(
+                (",\n" if rows else "[\n")
+                + f'    {{\n      "name": {dumps(name)},\n'
+                f'      "normalized": {dumps(form)},\n'
+                f'      "recorded": {row.recorded},\n'
+                '      "bound": {\n'
+                + _json_bound(bound, "        ")
+                + f'\n      }},\n      "status": {dumps(status)}\n    }}')
+        else:
+            rows.append(f"{name}\t{form}\trecorded={row.recorded}\t"
+                        f"bound={bound.value}\t{status}\n")
+    notes = names.notes()
+    if as_json:
+        # the rest of doc, after its rows
+        rest = dumps({
+            "summary": {
+                "rows": len(rows),
+                "sharp": sharp,
+                "overestimates": overestimates,
+                "violations": violations,
+            },
+            "notes": list(notes),
+        }, indent=2)
+        return violations, ['{\n  "rows": ', *rows,
+                            "\n  ]" if rows else "[]", "," + rest[1:] + "\n"]
+    return violations, [*rows,
+                        f"rows: {len(rows)}  sharp: {sharp}  "
+                        f"overestimates: {overestimates}  "
+                        f"violations: {violations}\n",
+                        *overestimated,
+                        *(f"note: {note}\n" for note in notes)]

@@ -7,10 +7,14 @@ the library types.
 
 Each command returns its exit code and its text, as chunks, and does no
 output of its own; ``main`` alone writes the text, to stdout or to
-``--out``, and reports a failed write as ``cannot write ...``.
+``--out``, and reports a failed write as ``cannot write ...``.  The
+help text of ``--help`` is written the same way.
 
-``json`` is imported only on the ``--json`` paths, so a one-shot text
-command does not load it.
+This module parses the arguments, opens the files, maps errors to exit
+codes and writes.  The text of the census listing and of the census
+check report is spelled in ``census``.  ``census``, like ``json`` on the
+``--json`` paths, is imported on first use, by the two census commands,
+so a one-shot command neither loads nor compiles it.
 
 Exit codes: 0 success, 1 usage or parse error, 2 validation failure,
 3 census violation found.
@@ -21,22 +25,14 @@ import argparse
 import functools
 import os
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
-from .census import (
-    CensusFormatError,
-    _census_entries,
-    _FibrationsByName,
-    _graded,
-    _records,
-)
 from .complexity import (
     conjectured_complexity,
     sharper_bound_note,
     upper_bound,
 )
 from .core import (
-    ComplexityBound,
     NormalizedSeifertParams,
     boundary_profile,
     euler_char_base,
@@ -68,12 +64,21 @@ class _CliError(Exception):
         self.code = code
 
 
+class _Help(Exception):
+    """--help was given; the argument is the help text."""
+
+
 class _ArgumentParser(argparse.ArgumentParser):
     # argparse exits with status 2 on usage errors; the interface
     # reserves 2 for validation failures, so remap to 1.
     def error(self, message):
         self.print_usage(sys.stderr)
         raise _CliError(EXIT_USAGE, f"{self.prog}: error: {message}")
+
+    # argparse's --help writes the text itself, drops a failed write and
+    # exits 0; main writes it instead, like any answer
+    def print_help(self, file=None):
+        raise _Help(self.format_help())
 
 
 def _parse_valid(text: str) -> NormalizedSeifertParams:
@@ -196,139 +201,27 @@ def _cmd_conjecture(args) -> tuple[int, list[str]]:
                              else f"conjectured complexity: {value}"])
 
 
-def _census_rows(cmax: int, prefix: str,
-                 columns: Callable[[ComplexityBound], str]) -> list[str]:
-    # prefix + printed form + columns(bound) for each census entry,
-    # sorted.  A census has few distinct bounds, one per shape and pair
-    # cost besides the special pairless ones, so each is spelled once.
-    spelled: dict[ComplexityBound, str] = {}
-    rows = []
-    for text, bound, _, _, _ in _census_entries(cmax):
-        tail = spelled.get(bound)
-        if tail is None:
-            tail = spelled[bound] = columns(bound)
-        rows.append(f"{prefix}{text}{tail}")
-    rows.sort()
-    return rows
+def _cmd_census_gen(args) -> tuple[int, Iterator[str]]:
+    from . import census
 
-
-def _json_bound(bound: ComplexityBound, indent: str) -> str:
-    # the fields of a bound as json.dumps(doc, indent=2) lays them out
-    # at the given indent inside doc
-    from json import dumps
-
-    return (f'{indent}"value": {bound.value},\n'
-            f'{indent}"case_tag": {dumps(bound.case_tag.value)},\n'
-            f'{indent}"exact": {dumps(bound.exact)},\n'
-            f'{indent}"label": {dumps(bound.label)}')
-
-
-def _census_lines(args) -> Iterator[str]:
-    if args.json:
-        # one JSON text per entry, in json.dumps(doc, indent=2) layout;
-        # a printed form is ASCII without quotes or backslashes, so it
-        # is its own JSON string.  The quote after it sorts below every
-        # printed character, so the rows sort as the texts do.
-        rows = _census_rows(
-            args.cmax, '    {\n      "params": "',
-            lambda bound: f'",\n{_json_bound(bound, "      ")}\n    }}')
-        yield (f'{{\n  "cmax": {args.cmax},\n  "count": {len(rows)},\n'
-               f'  "entries": [\n')
-        yield from (row + ",\n" for row in rows[:-1])
-        yield rows[-1] + "\n  ]\n}\n"
-        return
-    # the tab after the printed form sorts below every printed character
-    # and no two entries share a form, so the lines sort as the forms do
-    lines = _census_rows(
-        args.cmax, "",
-        lambda bound: (f"\t{bound.value}\t{bound.case_tag.value}\t"
-                       f"{'yes' if bound.exact else 'no'}\t"
-                       f"{bound.label or '-'}\n"))
-    yield (f"# closed non-orientable census, bound <= {args.cmax} "
-           f"({len(lines)} entries)\n")
-    yield "# params\tvalue\tcase_tag\texact\tlabel\n"
-    yield from lines
-
-
-def _utf8_lines(handle):
-    # The file is read with errors="surrogateescape", which turns each
-    # undecodable byte into a lone surrogate; the first one is an error.
-    for lineno, line in enumerate(handle, start=1):
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            byte = ord(line[exc.start]) - 0xDC00
-            raise CensusFormatError(
-                lineno, f"byte 0x{byte:02x} is not valid UTF-8") from None
-        yield line
+    # the listing is a lazy generator, walked only as main writes it,
+    # so --out is opened before the walk
+    return EXIT_OK, census._census_lines(args.cmax, args.json)
 
 
 def _cmd_census_check(args) -> tuple[int, list[str]]:
-    # Each row is graded and spelled as it is read, and only the text of
-    # the report is kept; it is returned after the last row, so a
-    # malformed row leaves stdout empty.
-    if args.json:
-        from json import dumps
-    rows: list[str] = []
-    overestimated: list[str] = []  # the overestimate lines of the text
-    sharp = overestimates = violations = 0
-    names = _FibrationsByName()
+    from . import census
+
     try:
         with open(args.file, "r", encoding="utf-8",
                   errors="surrogateescape") as handle:
-            for row in _graded(_records(_utf8_lines(handle)), args.cmax):
-                name, bound, status = row.name, row.bound, row.status
-                form = format_params(row.normalized)
-                names.add(name, form)
-                if status == "sharp":
-                    sharp += 1
-                elif status == "violation":
-                    violations += 1
-                else:
-                    overestimates += 1
-                    if not args.json:
-                        overestimated.append(
-                            f"overestimate: {name} [{bound.case_tag.value}] "
-                            f"{status}\n")
-                if args.json:
-                    # the row as json.dumps(doc, indent=2) lays it out in
-                    # the rows of doc, with the text before it
-                    rows.append(
-                        (",\n" if rows else "[\n")
-                        + f'    {{\n      "name": {dumps(name)},\n'
-                        f'      "normalized": {dumps(form)},\n'
-                        f'      "recorded": {row.recorded},\n'
-                        '      "bound": {\n'
-                        + _json_bound(bound, "        ")
-                        + f'\n      }},\n      "status": {dumps(status)}\n    }}')
-                else:
-                    rows.append(f"{name}\t{form}\trecorded={row.recorded}\t"
-                                f"bound={bound.value}\t{status}\n")
+            violations, chunks = census._check_report(handle, args.cmax,
+                                                      args.json)
     except OSError as exc:
         raise _CliError(EXIT_USAGE, f"cannot read {args.file}: {exc}") from exc
-    except CensusFormatError as exc:
+    except census.CensusFormatError as exc:
         raise _CliError(EXIT_INVALID, f"{args.file}: {exc}") from exc
-    notes = names.notes()
-    code = EXIT_VIOLATION if violations else EXIT_OK
-    if args.json:
-        # the rest of doc, after its rows
-        rest = dumps({
-            "summary": {
-                "rows": len(rows),
-                "sharp": sharp,
-                "overestimates": overestimates,
-                "violations": violations,
-            },
-            "notes": list(notes),
-        }, indent=2)
-        return code, ['{\n  "rows": ', *rows, "\n  ]" if rows else "[]",
-                      "," + rest[1:] + "\n"]
-    return code, [*rows,
-                  f"rows: {len(rows)}  sharp: {sharp}  "
-                  f"overestimates: {overestimates}  "
-                  f"violations: {violations}\n",
-                  *overestimated,
-                  *(f"note: {note}\n" for note in notes)]
+    return EXIT_VIOLATION if violations else EXIT_OK, chunks
 
 
 def _budget(text: str) -> int:
@@ -394,9 +287,7 @@ def _build_parser() -> _ArgumentParser:
     census_sub = census_parser.add_subparsers(dest="census_command",
                                               required=True)
 
-    # the listing is a lazy generator, walked only as main writes it,
-    # so --out is opened before the walk
-    p = add("gen", lambda args: (EXIT_OK, _census_lines(args)),
+    p = add("gen", _cmd_census_gen,
             "enumerate the closed non-orientable census up to a bound budget",
             subparsers=census_sub)
     p.add_argument("--cmax", type=_gen_budget, required=True)
@@ -414,26 +305,29 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        out = args.out
         code, chunks = args.func(args)
     except _CliError as exc:
         print(str(exc), file=sys.stderr)
         return exc.code
+    except _Help as exc:
+        out, code, chunks = None, EXIT_OK, exc.args
     try:
-        if args.out:
-            with open(args.out, "w", encoding="utf-8", newline="\n") as out:
-                out.writelines(chunks)
+        if out:
+            with open(out, "w", encoding="utf-8", newline="\n") as handle:
+                handle.writelines(chunks)
         else:
             sys.stdout.writelines(chunks)
             # flushed here so that a failed write is reported below
             sys.stdout.flush()
     except OSError as exc:
-        if not args.out:
+        if not out:
             # Point stdout at devnull so the flush at interpreter exit
             # does not raise again.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        print(f"cannot write {args.out or 'stdout'}: {exc}", file=sys.stderr)
+        print(f"cannot write {out or 'stdout'}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return code
 

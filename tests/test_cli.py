@@ -150,6 +150,93 @@ class TestBasicCommands:
                    "typing"} & set(out))
         assert loaded == set()
 
+    def test_one_shot_loads_no_census(self):
+        # a one-shot command compiles only the modules it runs; census
+        # loads on first use
+        src = Path(__file__).resolve().parent.parent / "src"
+        for module in ("seifert", "seifert.cli"):
+            script = ("import sys; sys.path.insert(0, sys.argv[1]); "
+                      f"import {module}; "
+                      "print(' '.join(sorted(sys.modules)))")
+            out = subprocess.run(
+                [sys.executable, "-S", "-c", script, str(src)],
+                capture_output=True, text=True, check=True,
+                timeout=60).stdout.split()
+            assert module in out and "seifert.census" not in out
+        # python -i keeps the child alive past main's sys.exit and reads
+        # its last lines from stdin, so the modules are those of a real
+        # python -m process; its __main__ is seifert.__main__
+        listed = ("import sys\n"
+                  "print(*sorted(m.__spec__.name for m in list(sys.modules.values())"
+                  " if getattr(m, '__spec__', None)"
+                  " and m.__spec__.name.partition('.')[0] == 'seifert'))\n")
+        proc = subprocess.run(
+            [sys.executable, "-i", "-m", "seifert", "bound",
+             "{0;(n1,1,(0,0));(|);}"],
+            input=listed, capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        lines = proc.stdout.splitlines()
+        assert "value: 1" in lines
+        assert lines[-1].split() == [
+            "seifert", "seifert.__main__", "seifert.cli", "seifert.complexity",
+            "seifert.core", "seifert.normal_form", "seifert.notation"]
+
+    # the public names of the package, by the module that defines them
+    PUBLIC = {
+        "census": ["CensusFormatError", "CensusRecord", "ComparisonReport",
+                   "ComparisonRow", "compare", "enumerate_nonorientable_closed",
+                   "enumerate_pairs_by_budget", "ingest_census"],
+        "complexity": ["conjectured_complexity", "sharper_bound_note",
+                       "upper_bound", "zero_complexity_corollary_check"],
+        "core": ["ORIENTABLE_AWAY_FROM_SE", "BoundaryProfile", "CaseTag",
+                 "ComplexityBound", "Epsilon", "FibredSolidTorusType",
+                 "NormalizedSeifertParams", "OrbifoldSummary", "SeifertParams",
+                 "boundary_profile", "cf_sum", "euler_char_base", "is_closed",
+                 "is_orientable", "orbifold_summary", "validate"],
+        "normal_form": ["absorb_unit_pairs", "equivalent", "from_burton",
+                        "insert_unit_pair", "mirror", "normalize",
+                        "reflect_pair", "reverse_orientation",
+                        "solid_torus_equivalent", "twist"],
+        "notation": ["ParseError", "format_params", "parse_params"],
+    }
+
+    def test_public_api_is_unchanged(self):
+        # in a fresh interpreter, so that census is not loaded yet
+        src = Path(__file__).resolve().parent.parent / "src"
+        script = """\
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from importlib import import_module
+import seifert
+found = {"dir": sorted(set(seifert.__all__) - set(dir(seifert))),
+         "pairs": seifert.census.enumerate_pairs_by_budget(5)}
+star = {}
+exec("from seifert import *", star)
+found["star"] = sorted(set(seifert.__all__) - set(star))
+found["not_home"] = sorted(
+    name for home, names in json.loads(sys.argv[2]).items() for name in names
+    if getattr(seifert, name) is not getattr(import_module("seifert." + home), name))
+try:
+    seifert.no_such_name
+except AttributeError as exc:
+    found["unknown"] = str(exc)
+print(json.dumps(found))
+"""
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", script, str(src),
+             json.dumps(self.PUBLIC)],
+            capture_output=True, text=True, timeout=60)
+        assert proc.stderr == ""
+        assert sorted(sf.__all__) == sorted(
+            name for names in self.PUBLIC.values() for name in names)
+        assert json.loads(proc.stdout) == {
+            "dir": [],
+            "pairs": [list(pq) for pq in sf.enumerate_pairs_by_budget(5)],
+            "star": [],
+            "not_home": [],
+            "unknown": "module 'seifert' has no attribute 'no_such_name'",
+        }
+
 
 # sha256 of the answers of main to oneshot_corpus(), one line each: the
 # argv, exit code, stdout and stderr of the call
@@ -623,7 +710,7 @@ class TestHostileInput:
         def walk_nothing(c_max):
             raise AssertionError("census walked before opening --out")
 
-        monkeypatch.setattr("seifert.cli._census_entries", walk_nothing)
+        monkeypatch.setattr("seifert.census._census_entries", walk_nothing)
         target = tmp_path / "absent-dir" / "census.tsv"
         code, out, err = run(capsys, "census", "gen", "--cmax", "14",
                              "--out", str(target))
@@ -655,7 +742,7 @@ class TestHostileInput:
         def walk_nothing(c_max):
             raise AssertionError("census walked at an absurd budget")
 
-        monkeypatch.setattr("seifert.cli._census_entries", walk_nothing)
+        monkeypatch.setattr("seifert.census._census_entries", walk_nothing)
         target = tmp_path / "census.tsv"
         for budget in ("25", "1000000000000"):
             code, out, err = run(capsys, "census", "gen", "--cmax", budget,
@@ -712,6 +799,32 @@ class TestHostileInput:
         assert proc.returncode == 1
         assert proc.stderr == (
             "cannot write stdout: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="no /dev/full to fill")
+    @pytest.mark.parametrize("unbuffered", ["1", ""],
+                             ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize("argv", [
+        ("--help",), ("census", "check", "--help"),
+    ], ids=["root", "census-check"])
+    def test_help_to_full_stdout_is_one(self, argv, unbuffered):
+        # argparse drops a failed help write and exits 0, or leaves it to
+        # the flush at exit; main reports it like any other answer
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src),
+                   PYTHONUNBUFFERED=unbuffered)
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "seifert", *argv],
+                                  stdout=full, stderr=subprocess.PIPE,
+                                  env=env, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "cannot write stdout: [Errno 28] No space left on device\n")
+
+    def test_help_is_an_answer(self, capsys):
+        code, out, err = run(capsys, "census", "gen", "--help")
+        assert code == 0 and err == ""
+        assert out.startswith("usage: seifert census gen [-h] [--json]")
 
     @pytest.mark.parametrize("argv", [
         ("census", "gen", "--cmax", "-3"),

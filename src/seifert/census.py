@@ -27,6 +27,15 @@ each fibre-term sum sum_j (S(p_j,q_j) + 1) within the budget; the special
 fibrations all have no pairs, so only pairless entries go through
 ``upper_bound``.
 
+Each pair costs at least 3, so a pair that costs more than c_max - 3
+stands alone.  The fixed part 6(1 - chi) + 6t is a multiple of 6, so
+such a pair fits only the two shapes of fixed part 0,
+{b;(n1,1,(0,0));(|);} and {0;(o1,0,(1,0));(|);}, and both rules above
+reduce to 2q <= p for one pair.  The walk stores only the pairs that can
+share a multiset, those that cost at most c_max - 3 (1,023 of the 8,191
+pairs at budget 15), and lists each of the others alone as it meets
+them.
+
 An entry is printed as the head of its shape and b, which is the printed
 pairless set ``format_params(shape with b)`` less its closing brace,
 followed by its pair list and "}".  So ``format_params`` is called once
@@ -133,26 +142,35 @@ def _pair_multisets(pool: list[tuple[int, tuple[int, int]]], budget: int,
     # (cost, multiset) for the multisets that extend multiset, which
     # costs spent, with pairs from pool[start:] and total cost within
     # budget, each listed once in pool order.  The pool is sorted by
-    # cost, so a level stops at the first pair that no longer fits.
+    # cost, so a level stops at the first pair that no longer fits, and a
+    # multiset whose last pair would not fit twice takes no pair of the
+    # rest of the pool, so it is yielded here with no call of its own.
     yield spent, multiset
     for i in range(start, len(pool)):
         cost, pq = pool[i]
-        if spent + cost > budget:
+        total = spent + cost
+        if total > budget:
             break
-        yield from _pair_multisets(pool, budget, i, spent + cost,
-                                   multiset + (pq,))
+        if total + cost > budget:
+            yield total, multiset + (pq,)
+        else:
+            yield from _pair_multisets(pool, budget, i, total, multiset + (pq,))
 
 
 def _census_entries(c_max: int) -> Iterator[
         tuple[str, ComplexityBound, int, SeifertParams, tuple[tuple[int, int], ...]]]:
     # (printed form, bound, b, shape, pairs) for every census entry,
     # unordered, built canonical by the rules of the module docstring.
-    # Each pair costs S(p,q) + 1 in the bound; outside o1/n2 a
+    # Each pair costs S(p,q) + 1 >= 3 in the bound; outside o1/n2 a
     # fibre-reversing curve turns q into p - q, so those take q <= p/2.
-    # The walk needs the pool sorted by cost only.
-    full = sorted(((s + 1, (p, q)) for s, p, q in _pairs_with_cf_sum(c_max - 1)),
+    # The walk needs the pool sorted by cost only, and only the pairs
+    # that can share a multiset: those that cost at most c_max - 3.
+    full = sorted(((s + 1, (p, q)) for s, p, q in _pairs_with_cf_sum(c_max - 4)),
                   key=itemgetter(0))
     half = [item for item in full if 2 * item[1][1] <= item[1][0]]
+    # (shape, heads, bounds) of the shapes of fixed part 0, the only ones
+    # with room above c_max - 3, as the fixed part is a multiple of 6
+    lone_shapes = []
 
     # the shapes: g, t, k <= c_max // 6 + 1, as each genus and each
     # reflector circle adds at least 6 to the bound; the budget is tested
@@ -170,17 +188,19 @@ def _census_entries(c_max: int) -> Iterator[
         # t = 0
         heads = [format_params(shape._replace(b=b))[:-1]
                  for b in ((0,) if t else (0, 1))]
+        if room == c_max:
+            lone_shapes.append((shape, heads, bounds))
         mirror_only = eps in ORIENTABLE_AWAY_FROM_SE
         for spent, multiset in _pair_multisets(full if mirror_only else half,
                                                room):
-            pairs = tuple(sorted(multiset))
-            if not pairs:
+            if not multiset:
                 # the special fibrations, whose bound upper_bound knows
                 for b, head in enumerate(heads):
                     bound = upper_bound(NormalizedSeifertParams(b, eps, g, t, k))
                     if bound.value <= c_max:
-                        yield head + "}", bound, b, shape, pairs
+                        yield head + "}", bound, b, shape, multiset
                 continue
+            pairs = tuple(sorted(multiset)) if len(multiset) > 1 else multiset
             if mirror_only and pairs > tuple(sorted((p, p - q) for p, q in pairs)):
                 continue
             tail = _format_pairs(pairs) + "}"
@@ -188,6 +208,18 @@ def _census_entries(c_max: int) -> Iterator[
             # (2,1) is the least pair and the only one with p = 2
             if t == 0 and pairs[0] != (2, 1):
                 yield heads[1] + tail, bounds[spent], 1, shape, pairs
+
+    # A pair that costs more than c_max - 3 stands alone, in a shape of
+    # room c_max, and takes q <= p/2 there under either rule.
+    for s, p, q in _pairs_with_cf_sum(c_max - 1):
+        if s <= c_max - 4 or 2 * q > p:
+            continue
+        pairs = ((p, q),)
+        tail = _format_pairs(pairs) + "}"
+        for shape, heads, bounds in lone_shapes:
+            yield heads[0] + tail, bounds[s + 1], 0, shape, pairs
+            if shape.t == 0 and p != 2:
+                yield heads[1] + tail, bounds[s + 1], 1, shape, pairs
 
 
 def enumerate_nonorientable_closed(

@@ -425,7 +425,11 @@ class TestCensusCommands:
     @pytest.mark.parametrize("argv,digest", [
         (("--cmax", "15"), "b67935a82b9c73fb519b9f4607133a9aff87e79874635cd2ad1e69b1bc265af4"),
         (("--cmax", "12", "--json"), "ac98e6413cd80347f319b927737393b682387217eb51173bf6f1b7fd9b554e27"),
-    ], ids=["text", "json"])
+        # at budgets 3 to 5 the pair (2,1) costs more than budget - 3, so
+        # it stands alone and the walk lists it apart from the pool
+        (("--cmax", "5"), "54a3da8b96f403378630b17cd43df1e4c7f4477572e618b0dd042edcb95d3d10"),
+        (("--cmax", "16"), "e8c80a081d66d4cf3de2e268309c180b902f6e338a7039cf988b4009eefe7eca"),
+    ], ids=["text", "json", "lone-2-1", "text-16"])
     def test_gen_output_is_pinned(self, capsys, argv, digest):
         code, out, err = run(capsys, "census", "gen", *argv)
         assert code == 0 and err == ""

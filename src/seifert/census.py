@@ -33,8 +33,10 @@ such a pair fits only the two shapes of fixed part 0,
 {b;(n1,1,(0,0));(|);} and {0;(o1,0,(1,0));(|);}, and both rules above
 reduce to 2q <= p for one pair.  The walk stores only the pairs that can
 share a multiset, those that cost at most c_max - 3 (1,023 of the 8,191
-pairs at budget 15), and lists each of the others alone as it meets
-them.
+pairs at budget 15).  The lone pairs with 2q <= p are those whose first
+continued-fraction coefficient a is at least 2, so each is built from a
+first coefficient a >= 2 and the coefficients after it, and listed
+alone (3,584 at budget 15); a lone pair with 2q > p is never made.
 
 An entry is printed as the head of its shape and b, which is the printed
 pairless set ``format_params(shape with b)`` less its closing brace,
@@ -64,7 +66,7 @@ from __future__ import annotations
 import io
 from collections import namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from itertools import product
+from itertools import chain, product
 from operator import itemgetter
 
 from .complexity import _closed_nonorientable_general, upper_bound
@@ -139,22 +141,21 @@ def _pair_multisets(pool: list[tuple[int, tuple[int, int]]], budget: int,
                     start: int = 0, spent: int = 0,
                     multiset: tuple[tuple[int, int], ...] = ()
                     ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-    # (cost, multiset) for the multisets that extend multiset, which
-    # costs spent, with pairs from pool[start:] and total cost within
-    # budget, each listed once in pool order.  The pool is sorted by
-    # cost, so a level stops at the first pair that no longer fits, and a
-    # multiset whose last pair would not fit twice takes no pair of the
-    # rest of the pool, so it is yielded here with no call of its own.
-    yield spent, multiset
+    # (cost, multiset) for the non-empty multisets that extend multiset,
+    # which costs spent, with pairs from pool[start:] and total cost
+    # within budget, each listed once in pool order.  The pool is sorted
+    # by cost, so a level stops at the first pair that no longer fits,
+    # and a multiset whose last pair would not fit twice takes no pair of
+    # the rest of the pool, so the walk goes no deeper from it.
     for i in range(start, len(pool)):
         cost, pq = pool[i]
         total = spent + cost
         if total > budget:
             break
-        if total + cost > budget:
-            yield total, multiset + (pq,)
-        else:
-            yield from _pair_multisets(pool, budget, i, total, multiset + (pq,))
+        extended = multiset + (pq,)
+        yield total, extended
+        if total + cost <= budget:
+            yield from _pair_multisets(pool, budget, i, total, extended)
 
 
 def _census_entries(c_max: int) -> Iterator[
@@ -188,18 +189,17 @@ def _census_entries(c_max: int) -> Iterator[
         # t = 0
         heads = [format_params(shape._replace(b=b))[:-1]
                  for b in ((0,) if t else (0, 1))]
+        # the pairless entries, among them the special fibrations, whose
+        # bound upper_bound knows
+        for b, head in enumerate(heads):
+            bound = upper_bound(NormalizedSeifertParams(b, eps, g, t, k))
+            if bound.value <= c_max:
+                yield head + "}", bound, b, shape, ()
         if room == c_max:
             lone_shapes.append((shape, heads, bounds))
         mirror_only = eps in ORIENTABLE_AWAY_FROM_SE
         for spent, multiset in _pair_multisets(full if mirror_only else half,
                                                room):
-            if not multiset:
-                # the special fibrations, whose bound upper_bound knows
-                for b, head in enumerate(heads):
-                    bound = upper_bound(NormalizedSeifertParams(b, eps, g, t, k))
-                    if bound.value <= c_max:
-                        yield head + "}", bound, b, shape, multiset
-                continue
             pairs = tuple(sorted(multiset)) if len(multiset) > 1 else multiset
             if mirror_only and pairs > tuple(sorted((p, p - q) for p, q in pairs)):
                 continue
@@ -210,16 +210,17 @@ def _census_entries(c_max: int) -> Iterator[
                 yield heads[1] + tail, bounds[spent], 1, shape, pairs
 
     # A pair that costs more than c_max - 3 stands alone, in a shape of
-    # room c_max, and takes q <= p/2 there under either rule.
-    for s, p, q in _pairs_with_cf_sum(c_max - 1):
-        if s <= c_max - 4 or 2 * q > p:
-            continue
-        pairs = ((p, q),)
-        tail = _format_pairs(pairs) + "}"
-        for shape, heads, bounds in lone_shapes:
-            yield heads[0] + tail, bounds[s + 1], 0, shape, pairs
-            if shape.t == 0 and p != 2:
-                yield heads[1] + tail, bounds[s + 1], 1, shape, pairs
+    # room c_max, and takes q <= p/2 there under either rule, that is a
+    # first coefficient a >= 2: it is (a*p + q, p) for a tail (s, p, q),
+    # the empty tail (0, 1, 0) or a pair of cf_sum s, and costs s + a + 1.
+    for s, p, q in chain(((0, 1, 0),), _pairs_with_cf_sum(c_max - 3)):
+        for a in range(max(2, c_max - 3 - s), c_max - s):
+            pairs = ((a * p + q, p),)
+            tail = _format_pairs(pairs) + "}"
+            for shape, heads, bounds in lone_shapes:
+                yield heads[0] + tail, bounds[s + a + 1], 0, shape, pairs
+                if shape.t == 0 and pairs[0] != (2, 1):
+                    yield heads[1] + tail, bounds[s + a + 1], 1, shape, pairs
 
 
 def enumerate_nonorientable_closed(

@@ -50,8 +50,9 @@ EXIT_INVALID = 2
 EXIT_VIOLATION = 3
 
 # The census listing, its run time and its memory each grow about 2.07x
-# per unit of budget, and the walk meets 2^(c-2) pairs, of which it
-# stores the 2^(c-5) that can share a multiset: budget 20 lists 693,478
+# per unit of budget, and the walk meets the 2^(c-5) pairs that can
+# share a multiset, which it stores, and 2^(c-4) tails, from which it
+# builds the lone pairs one at a time: budget 20 lists 693,478
 # entries in about 3 s and 112 MB, and budget 22 in about 11 s and
 # 430 MB (--out, on a 2-vCPU host), so 24 needs about 1.6 GB and 45 s,
 # and each step past it doubles both.  A larger budget is refused rather

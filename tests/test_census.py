@@ -48,7 +48,8 @@ class TestPairMultisets:
 
     @pytest.mark.parametrize("full_range", [True, False])
     def test_matches_combinations_within_budget(self, full_range):
-        # the pools as enumerate_nonorientable_closed builds them
+        # every pair that fits the largest budget, sorted by cost as the
+        # walk needs, whole or with 2q <= p as outside o1/n2
         full = sorted((sf.cf_sum(p, q) + 1, (p, q))
                       for p, q in sf.enumerate_pairs_by_budget(self.C_MAX - 1))
         pool = full if full_range else [
@@ -60,7 +61,9 @@ class TestPairMultisets:
             for spent, ms in _pair_multisets(pool, budget):
                 assert spent == sum(cost[pq] for pq in ms)
                 walked.append(tuple(sorted(ms)))
-            expected = {ms for size in range(budget // 3 + 1)
+            # the walk yields no empty multiset: _census_entries lists
+            # the pairless entries of a shape before it walks
+            expected = {ms for size in range(1, budget // 3 + 1)
                         for ms in combinations_with_replacement(pairs, size)
                         if sum(cost[pq] for pq in ms) <= budget}
             assert len(walked) == len(set(walked))
@@ -86,8 +89,9 @@ class TestPairMultisets:
 
     def test_walk_stores_only_the_pairs_that_can_share_a_multiset(self):
         # at budget 18 the walk keeps the 8,191 pairs that cost at most
-        # 15 and lists the other 57,344 alone as it meets them; it
-        # peaked at about 10 MB when it stored and sorted all 65,535
+        # 15 and builds the 28,672 lone pairs with 2q <= p one at a time;
+        # it peaked at about 10 MB when it stored and sorted all 65,535
+        # pairs of cost at most 18
         tracemalloc.start()
         try:
             for _ in _census_entries(18):
@@ -96,6 +100,26 @@ class TestPairMultisets:
         finally:
             tracemalloc.stop()
         assert peak < 3_000_000
+
+    @pytest.mark.parametrize("c_max", [10, 15, 16])
+    def test_walk_draws_only_the_pairs_it_lists(self, c_max, monkeypatch):
+        # the pool draws the 2^(c-5) - 1 pairs of cf_sum <= c - 4, and the
+        # lone pass the 2^(c-4) - 1 tails of cf_sum <= c - 3 that it
+        # extends by a first coefficient a >= 2, so no pair is drawn
+        # only to be skipped
+        drawn = 0
+        pairs_with_cf_sum = sf.census._pairs_with_cf_sum
+
+        def counting(s_max):
+            nonlocal drawn
+            for item in pairs_with_cf_sum(s_max):
+                drawn += 1
+                yield item
+
+        monkeypatch.setattr(sf.census, "_pairs_with_cf_sum", counting)
+        for _ in _census_entries(c_max):
+            pass
+        assert drawn <= 2 ** (c_max - 5) + 2 ** (c_max - 4)
 
 
 class TestEnumeration:

@@ -432,18 +432,19 @@ def _check_report(handle: Iterable[str], c_max: int | None,
         from json import dumps
     rows: list[str] = []
     overestimated: list[str] = []  # the overestimate lines of the text
-    sharp = overestimates = violations = 0
+    summary = {"rows": 0, "sharp": 0, "overestimates": 0, "violations": 0}
     names = _FibrationsByName()
     for row in _graded(_records(_utf8_lines(handle)), c_max):
         name, bound, status = row.name, row.bound, row.status
         form = format_params(row.normalized)
         names.add(name, form)
+        summary["rows"] += 1
         if status == "sharp":
-            sharp += 1
+            summary["sharp"] += 1
         elif status == "violation":
-            violations += 1
+            summary["violations"] += 1
         else:
-            overestimates += 1
+            summary["overestimates"] += 1
             if not as_json:
                 overestimated.append(
                     f"overestimate: {name} [{bound.case_tag.value}] "
@@ -465,20 +466,10 @@ def _check_report(handle: Iterable[str], c_max: int | None,
     notes = names.notes()
     if as_json:
         # the rest of doc, after its rows
-        rest = dumps({
-            "summary": {
-                "rows": len(rows),
-                "sharp": sharp,
-                "overestimates": overestimates,
-                "violations": violations,
-            },
-            "notes": list(notes),
-        }, indent=2)
-        return violations, ['{\n  "rows": ', *rows,
-                            "\n  ]" if rows else "[]", "," + rest[1:] + "\n"]
-    return violations, [*rows,
-                        f"rows: {len(rows)}  sharp: {sharp}  "
-                        f"overestimates: {overestimates}  "
-                        f"violations: {violations}\n",
-                        *overestimated,
-                        *(f"note: {note}\n" for note in notes)]
+        rest = dumps({"summary": summary, "notes": list(notes)}, indent=2)
+        return summary["violations"], [
+            '{\n  "rows": ', *rows, "\n  ]" if rows else "[]",
+            "," + rest[1:] + "\n"]
+    counts = "  ".join(f"{key}: {n}" for key, n in summary.items())
+    return summary["violations"], [*rows, counts + "\n", *overestimated,
+                                   *(f"note: {note}\n" for note in notes)]

@@ -35,6 +35,11 @@ from .core import (
 )
 from .normal_form import normalize
 
+__all__ = [
+    "upper_bound", "zero_complexity_corollary_check", "conjectured_complexity",
+    "sharper_bound_note",
+]
+
 _REDUCIBLE_TAGS = frozenset((
     CaseTag.RP2_X_S1,
     CaseTag.S2_TWIST_S1,

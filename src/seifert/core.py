@@ -34,6 +34,14 @@ from collections import namedtuple
 from enum import Enum
 from math import gcd
 
+__all__ = [
+    "Epsilon", "ORIENTABLE_AWAY_FROM_SE", "SeifertParams",
+    "NormalizedSeifertParams", "FibredSolidTorusType", "BoundaryProfile",
+    "OrbifoldSummary", "CaseTag", "ComplexityBound", "cf_sum", "validate",
+    "euler_char_base", "is_orientable", "is_closed", "boundary_profile",
+    "orbifold_summary",
+]
+
 
 class Epsilon(str, Enum):
     """Bundle-type symbol of the space away from its exceptional surfaces.

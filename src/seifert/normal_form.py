@@ -28,6 +28,12 @@ from .core import (
     validate,
 )
 
+__all__ = [
+    "twist", "reflect_pair", "absorb_unit_pairs", "insert_unit_pair", "mirror",
+    "normalize", "equivalent", "reverse_orientation", "solid_torus_equivalent",
+    "from_burton",
+]
+
 
 def twist(params: SeifertParams, j: int, n: int) -> SeifertParams:
     """Replace pair j (1-based) by (p_j, q_j - n*p_j) and b by b + n."""

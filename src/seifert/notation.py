@@ -33,6 +33,8 @@ import sys
 
 from .core import Epsilon, SeifertParams
 
+__all__ = ["ParseError", "parse_params", "format_params"]
+
 _DIGITS = "0123456789"
 _EPSILONS = {eps.value: eps for eps in Epsilon}
 
@@ -132,7 +134,7 @@ class _Scanner:
             return Epsilon(word)
         except ValueError:
             raise ParseError(start, f"unknown symbol {word!r}; expected one "
-                             "of o, o1, o2, n, n1, n2, n3, n4") from None
+                             f"of {', '.join(_EPSILONS)}") from None
 
     def items(self, read) -> list:
         """read() once, then again after each ","."""

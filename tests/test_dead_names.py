@@ -1,10 +1,14 @@
 """No dead names in the package: every name a module imports is used in
 that module, and every private module-level name is used somewhere in
-the package or its tests.  Read with ast, so a mention in a comment or a
-docstring does not count as a use."""
+the package or its tests; and each eagerly loaded module's ``__all__``
+lists exactly the public names it defines.  Read with ast, so a mention
+in a comment or a docstring does not count as a use."""
 import ast
 from collections import Counter
+from importlib import import_module
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 MODULES = sorted(path for path in (ROOT / "src" / "seifert").glob("*.py")
@@ -72,3 +76,25 @@ def test_every_private_name_is_used():
                 if read[name] == uses(statement)[name]:
                     unused.append(f"{path.name}: {name}")
     assert unused == []
+
+
+@pytest.mark.parametrize("module", ["complexity", "core", "normal_form",
+                                    "notation"])
+def test_all_lists_exactly_the_public_names_the_module_defines(module):
+    # census is left out: it loads on first use, and the package keeps
+    # its public names in _CENSUS_NAMES
+    defined = set()
+    for statement in parse(ROOT / "src" / "seifert" / f"{module}.py").body:
+        if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(statement.name)
+        elif isinstance(statement, ast.Assign):
+            defined.update(t.id for t in statement.targets
+                           if isinstance(t, ast.Name))
+        elif isinstance(statement, ast.AnnAssign):
+            defined.add(getattr(statement.target, "id", "_"))
+    public = sorted(name for name in defined if not name.startswith("_"))
+    star = {}
+    exec(f"from seifert.{module} import *", star)
+    del star["__builtins__"]
+    assert sorted(import_module(f"seifert.{module}").__all__) == public
+    assert sorted(star) == public

@@ -31,17 +31,35 @@ Each pair costs at least 3, so a pair that costs more than c_max - 3
 stands alone.  The fixed part 6(1 - chi) + 6t is a multiple of 6, so
 such a pair fits only the two shapes of fixed part 0,
 {b;(n1,1,(0,0));(|);} and {0;(o1,0,(1,0));(|);}, and both rules above
-reduce to 2q <= p for one pair.  The walk stores only the pairs that can
-share a multiset, those that cost at most c_max - 3 (1,023 of the 8,191
-pairs at budget 15).  The lone pairs with 2q <= p are those whose first
-continued-fraction coefficient a is at least 2, so each is built from a
-first coefficient a >= 2 and the coefficients after it, and listed
-alone (3,584 at budget 15); a lone pair with 2q > p is never made.
+reduce to 2q <= p for one pair.  The walk spells and stores only the
+pairs that can share a multiset, those that cost at most c_max - 3
+(1,023 of the 8,191 pairs at budget 15).  The lone pairs with 2q <= p
+(3,584 at budget 15) are kept as numbers and spelled as they are
+listed; a lone pair with 2q > p is never made.
 
-An entry is printed as the head of its shape and b, which is the printed
-pairless set ``format_params(shape with b)`` less its closing brace,
-followed by its pair list and "}".  So ``format_params`` is called once
-per shape and b, and the spelling still has one home in ``notation``.
+The walk lists the entries in the text order of their printed forms, so
+nothing sorts them.  An entry is printed as the head of its shape and b,
+which is the printed pairless set ``format_params(shape with b)`` less
+its closing brace, followed by its pair list "((p,q),...)" and "}".
+
+* Heads are prefix-free, so the entries of a head are contiguous; the
+  heads are taken in text order, and the pairless entry "head}" of each
+  comes after those with pairs, as "(" < "}".
+* The texts "(p,q)" are prefix-free too and ")" < ",", so a pair list
+  sorts before its extensions and as its sequence of pair texts.  A
+  pre-order walk of the sorted pair lists that takes the children of a
+  list, the pairs numerically at least its last one, in text order thus
+  lists them in text order, each child's text its parent's plus one pair.
+* ``_pair_index`` puts the pairs in text order with no sort over them:
+  it groups each pair under p, the groups in the text order of p, and
+  takes the pairs in the text order of q as it builds them.  The lone
+  pairs stand among the first pairs of the shapes of fixed part 0.
+
+``format_params`` is called once per head, and the walk spells each
+pair "(p,q)" as ``format_params`` does.  ``census gen`` prints the
+number of entries before the first one.  ``_census_count`` finds it
+with no walk, by generating functions over the number of pairs of each
+cost, with Burnside's lemma for the mirror rule of o1 and n2.
 
 External census tables are read from TSV, one record per line:
 
@@ -64,9 +82,12 @@ because ``cli`` imports this module only when a census command runs.
 from __future__ import annotations
 
 import io
-from collections import namedtuple
+from array import array
+from collections import defaultdict, namedtuple
 from collections.abc import Callable, Iterable, Iterator
-from itertools import chain, product
+from itertools import accumulate, chain, product
+from functools import partial
+from math import comb
 from operator import itemgetter
 
 from .complexity import _closed_nonorientable_general, upper_bound
@@ -80,7 +101,7 @@ from .core import (
     validate,
 )
 from .normal_form import normalize
-from .notation import _format_pairs, format_params, parse_params
+from .notation import format_params, parse_params
 
 CONVENTIONS = ("normalized", "burton")
 
@@ -137,100 +158,150 @@ def enumerate_pairs_by_budget(s_max: int) -> list[tuple[int, int]]:
     return sorted((p, q) for _, p, q in _pairs_with_cf_sum(s_max))
 
 
-def _pair_multisets(pool: list[tuple[int, tuple[int, int]]], budget: int,
-                    start: int = 0, spent: int = 0,
-                    multiset: tuple[tuple[int, int], ...] = ()
-                    ) -> Iterator[tuple[int, tuple[tuple[int, int], ...]]]:
-    # (cost, multiset) for the non-empty multisets that extend multiset,
-    # which costs spent, with pairs from pool[start:] and total cost
-    # within budget, each listed once in pool order.  The pool is sorted
-    # by cost, so a level stops at the first pair that no longer fits,
-    # and a multiset whose last pair would not fit twice takes no pair of
-    # the rest of the pool, so the walk goes no deeper from it.
-    for i in range(start, len(pool)):
-        cost, pq = pool[i]
+def _pair_index(c_max: int) -> list[tuple[int, array]]:
+    # (p, [q, cost, q, cost, ...]) for the pool and for the pairs with
+    # 2q <= p that cost at most c_max, in text order (module docstring).
+    # Each is (a*p + q, p) for a first coefficient a and a tail (s, p, q),
+    # the empty tail (0, 1, 0) or a pair of cf_sum s, and costs s + a + 1.
+    # Each tail joins the group of its p, drawn once; taken by p in text
+    # order, the tails then give each pair's group its q in text order.
+    tails = defaultdict(partial(array, "i"))
+    for s, p, q in chain(((0, 1, 0),), _pairs_with_cf_sum(c_max - 3)):
+        tails[p].extend((s, q))
+    groups = defaultdict(partial(array, "i"))
+    for p in sorted(tails, key=str):
+        tail = iter(tails.pop(p))
+        for s, q in zip(tail, tail):
+            # a = 1, 2q > p, only for a pool pair of a non-empty tail
+            for a in range(1 if q and s <= c_max - 5 else 2, c_max - s):
+                groups[a * p + q].extend((p, s + a + 1))
+    return [(p, groups[p]) for p in sorted(groups, key=str)]
+
+
+def _first_pairs(index: list[tuple[int, array]]) -> Iterator[tuple]:
+    # (text, cost, pair) for the pairs of the index with 2q <= p, in text
+    # order: the first pairs of a shape of room c_max, the lone ones among
+    # them
+    for p, group in index:
+        for q, cost in zip(*[iter(group)] * 2):
+            if 2 * q <= p:
+                yield f"({p},{q})", cost, (p, q)
+
+
+def _extensions(fits: list[list[tuple]], room: int, mirror: bool,
+                items: Iterable[tuple], least: tuple[int, int],
+                prefix: str = "(", spent: int = 0,
+                pairs: tuple = ()) -> Iterator[tuple]:
+    # (text, cost, pairs) for each pair list that extends pairs, which
+    # cost spent and are spelled prefix, by one of the items (text, cost,
+    # pair) of at least least, and then for its own extensions, from
+    # fits[r], the pairs that cost at most r; all in text order, and text
+    # less its closing ")".  Under mirror a list is listed only if it is
+    # at most the sorted list of its mirror images, and extended anyway.
+    for item, cost, pair in items:
+        if pair < least:
+            continue
+        text = prefix + item
         total = spent + cost
-        if total > budget:
-            break
-        extended = multiset + (pq,)
-        yield total, extended
-        if total + cost <= budget:
-            yield from _pair_multisets(pool, budget, i, total, extended)
+        extended = pairs + (pair,)
+        if not (mirror and pairs) or extended <= tuple(
+                sorted([(p, p - q) for p, q in extended])):
+            yield text, total, extended
+        if room - total >= 3:  # room for one more pair
+            yield from _extensions(fits, room, mirror, fits[room - total],
+                                   pair, text + ",", total, extended)
 
 
-def _census_entries(c_max: int) -> Iterator[
-        tuple[str, ComplexityBound, int, SeifertParams, tuple[tuple[int, int], ...]]]:
-    # (printed form, bound, b, shape, pairs) for every census entry,
-    # unordered, built canonical by the rules of the module docstring.
-    # Each pair costs S(p,q) + 1 >= 3 in the bound; outside o1/n2 a
-    # fibre-reversing curve turns q into p - q, so those take q <= p/2.
-    # The walk needs the pool sorted by cost only, and only the pairs
-    # that can share a multiset: those that cost at most c_max - 3.
-    full = sorted(((s + 1, (p, q)) for s, p, q in _pairs_with_cf_sum(c_max - 4)),
-                  key=itemgetter(0))
-    half = [item for item in full if 2 * item[1][1] <= item[1][0]]
-    # (shape, heads, bounds) of the shapes of fixed part 0, the only ones
-    # with room above c_max - 3, as the fixed part is a multiple of 6
-    lone_shapes = []
-
-    # the shapes: g, t, k <= c_max // 6 + 1, as each genus and each
-    # reflector circle adds at least 6 to the bound; the budget is tested
-    # before validate because it prunes most of the grid
+def _census_heads(c_max: int) -> list[tuple]:
+    # (head, b, shape, room, bound of the pairless entry, None if it
+    # exceeds c_max) for each head, in text order.  The shapes: g, t,
+    # k <= c_max // 6 + 1, as each genus and each reflector circle adds
+    # at least 6 to the bound; the budget is tested before validate
+    # because it prunes most of the grid.
+    heads = []
     grid = range(c_max // 6 + 2)
     for eps, g, t, k in product(Epsilon, grid, grid, grid):
         shape = SeifertParams(0, eps, g, t, k)
         room = c_max - _closed_nonorientable_general(shape, 0).value
         if room < 0 or validate(shape) or is_orientable(shape):
             continue
-        # bounds[s]: the one bound of the shape's entries whose pairs cost
-        # s, and it fits, as s <= room
-        bounds = [_closed_nonorientable_general(shape, s) for s in range(room + 1)]
-        # heads[b]: the printed pairless set less its "}"; b = 1 only when
-        # t = 0
-        heads = [format_params(shape._replace(b=b))[:-1]
-                 for b in ((0,) if t else (0, 1))]
-        # the pairless entries, among them the special fibrations, whose
-        # bound upper_bound knows
-        for b, head in enumerate(heads):
+        for b in (0,) if t else (0, 1):
+            # the special fibrations are all pairless, and upper_bound
+            # knows them
             bound = upper_bound(NormalizedSeifertParams(b, eps, g, t, k))
-            if bound.value <= c_max:
-                yield head + "}", bound, b, shape, ()
-        if room == c_max:
-            lone_shapes.append((shape, heads, bounds))
-        mirror_only = eps in ORIENTABLE_AWAY_FROM_SE
-        for spent, multiset in _pair_multisets(full if mirror_only else half,
-                                               room):
-            pairs = tuple(sorted(multiset)) if len(multiset) > 1 else multiset
-            if mirror_only and pairs > tuple(sorted((p, p - q) for p, q in pairs)):
-                continue
-            tail = _format_pairs(pairs) + "}"
-            yield heads[0] + tail, bounds[spent], 0, shape, pairs
-            # (2,1) is the least pair and the only one with p = 2
-            if t == 0 and pairs[0] != (2, 1):
-                yield heads[1] + tail, bounds[spent], 1, shape, pairs
+            heads.append((format_params(shape._replace(b=b))[:-1], b, shape,
+                          room, bound if bound.value <= c_max else None))
+    heads.sort(key=itemgetter(0))
+    return heads
 
-    # A pair that costs more than c_max - 3 stands alone, in a shape of
-    # room c_max, and takes q <= p/2 there under either rule, that is a
-    # first coefficient a >= 2: it is (a*p + q, p) for a tail (s, p, q),
-    # the empty tail (0, 1, 0) or a pair of cf_sum s, and costs s + a + 1.
-    for s, p, q in chain(((0, 1, 0),), _pairs_with_cf_sum(c_max - 3)):
-        for a in range(max(2, c_max - 3 - s), c_max - s):
-            pairs = ((a * p + q, p),)
-            tail = _format_pairs(pairs) + "}"
-            for shape, heads, bounds in lone_shapes:
-                yield heads[0] + tail, bounds[s + a + 1], 0, shape, pairs
-                if shape.t == 0 and pairs[0] != (2, 1):
-                    yield heads[1] + tail, bounds[s + a + 1], 1, shape, pairs
+
+def _census_walk(c_max: int, heads: list[tuple]) -> Iterator[tuple]:
+    # (head, b, shape, bounds, pairless bound, entries) for each head,
+    # where entries is the lazy walk of the head's entries with pairs,
+    # (text, cost, pairs) in text order, and bounds[cost] their bound
+    index = _pair_index(c_max)
+    pool = [(f"({p},{q})", cost, (p, q)) for p, group in index
+            for q, cost in zip(*[iter(group)] * 2) if cost <= c_max - 3]
+    full = [[item for item in pool if item[1] <= r] for r in range(c_max - 2)]
+    half = [[item for item in fits if 2 * item[2][1] <= item[2][0]]
+            for fits in full]
+    for head, b, shape, room, bare in heads:
+        mirror = shape.epsilon in ORIENTABLE_AWAY_FROM_SE
+        # the first pair has 2q <= p under either rule, and b = 1 takes no
+        # (2,1), the least pair
+        first = _first_pairs(index) if room == c_max else half[room]
+        entries = _extensions(full if mirror else half, room, mirror, first,
+                              (2, 2) if b else (2, 1))
+        yield head, b, shape, [_closed_nonorientable_general(shape, s)
+                               for s in range(room + 1)], bare, entries
+
+
+def _multisets(kinds: dict[int, int], room: int) -> list[int]:
+    # [number of multisets of total cost at most r for r in 0..room], the
+    # empty one among them, of kinds[c] kinds of item of each cost c:
+    # from the coefficients of prod_c 1/(1 - x^c)^kinds[c]
+    coeffs = [1] + [0] * room
+    for cost, n in kinds.items():
+        coeffs = [sum(comb(n + j - 1, j) * coeffs[i - cost * j]
+                      for j in range(i // cost + 1)) for i in range(room + 1)]
+    return list(accumulate(coeffs))
+
+
+def _census_count(c_max: int, heads: list[tuple]) -> int:
+    # the number of census entries of the heads, from the number of
+    # pairs of each cost c, with no walk: 2^(c-3) with 0 < q < p, and with
+    # 2q <= p one of cost 3, (2,1), and 2^(c-4) of each cost c >= 4.
+    # Under the mirror q -> p - q, which keeps the cost, an o1/n2 shape
+    # lists one multiset of each orbit, (all + fixed) / 2 by Burnside; a
+    # fixed multiset holds (2,1), the one fixed pair, and the other pairs
+    # in couples with their mirror images.
+    full = {c: 2 ** (c - 3) for c in range(3, c_max + 1)}
+    half = {c: 2 ** (c - 4) for c in range(4, c_max + 1)}
+    fixed = {3: 1, **{2 * c: n // 2 for c, n in full.items()
+                       if 3 < c <= c_max // 2}}
+    mirrored = [(n + n_fixed) // 2 for n, n_fixed in zip(
+        _multisets(full, c_max), _multisets(fixed, c_max))]
+    # b = 1 takes no (2,1)
+    by_b = (_multisets({3: 1, **half}, c_max), _multisets(half, c_max))
+    # each head lists its multisets but the empty one, and the pairless
+    # entry if it fits
+    return sum((mirrored if shape.epsilon in ORIENTABLE_AWAY_FROM_SE
+                else by_b[b])[room] - 1 + (bare is not None)
+               for _, b, shape, room, bare in heads)
 
 
 def enumerate_nonorientable_closed(
         c_max: int) -> list[tuple[NormalizedSeifertParams, ComplexityBound]]:
     """Every canonical closed non-orientable parameter set with bound
     <= c_max, with its bound, ordered by the printed normal form."""
-    return [(NormalizedSeifertParams(b, shape.epsilon, shape.g, shape.t,
-                                     shape.k, (), (), pairs), bound)
-            for _, bound, b, shape, pairs in sorted(_census_entries(c_max),
-                                                    key=itemgetter(0))]
+    entries = []
+    for _, b, shape, bounds, bare, walk in _census_walk(
+            c_max, _census_heads(c_max)):
+        entries += [(NormalizedSeifertParams(b, *shape[1:5], (), (), pairs),
+                     bounds[cost]) for _, cost, pairs in walk]
+        if bare:
+            entries.append((NormalizedSeifertParams(b, *shape[1:5]), bare))
+    return entries
 
 
 class CensusFormatError(ValueError):
@@ -353,20 +424,18 @@ def compare(records: Iterable[CensusRecord],
 # The text of the census commands; cli parses the arguments, opens the
 # files and writes these chunks.
 
-def _census_rows(c_max: int, prefix: str,
-                 columns: Callable[[ComplexityBound], str]) -> list[str]:
-    # prefix + printed form + columns(bound) for each census entry,
-    # sorted.  A census has few distinct bounds, one per shape and pair
-    # cost besides the special pairless ones, so each is spelled once.
-    spelled: dict[ComplexityBound, str] = {}
-    rows = []
-    for text, bound, _, _, _ in _census_entries(c_max):
-        tail = spelled.get(bound)
-        if tail is None:
-            tail = spelled[bound] = columns(bound)
-        rows.append(f"{prefix}{text}{tail}")
-    rows.sort()
-    return rows
+def _entry_rows(c_max: int, heads: list[tuple], prefix: str,
+               columns: Callable[[ComplexityBound], str]) -> Iterator[str]:
+    # prefix + printed form + columns(bound) for each census entry, one
+    # at a time as the walk lists them, in the text order of the forms.
+    # The columns are spelled once per bound of a head.
+    for head, _, _, bounds, bare, entries in _census_walk(c_max, heads):
+        start = prefix + head
+        tails = [")}" + columns(bound) for bound in bounds]
+        for text, cost, _ in entries:
+            yield start + text + tails[cost]
+        if bare:
+            yield start + "}" + columns(bare)
 
 
 def _json_bound(bound: ComplexityBound, indent: str) -> str:
@@ -381,31 +450,32 @@ def _json_bound(bound: ComplexityBound, indent: str) -> str:
 
 
 def _census_lines(c_max: int, as_json: bool) -> Iterator[str]:
-    # the census gen listing, text or JSON, in chunks
+    # the census gen listing, text or JSON, in chunks, one per entry;
+    # the count, which comes first, is _census_count's
+    heads = _census_heads(c_max)
+    count = _census_count(c_max, heads)
     if as_json:
         # one JSON text per entry, in json.dumps(doc, indent=2) layout;
         # a printed form is ASCII without quotes or backslashes, so it
-        # is its own JSON string.  The quote after it sorts below every
-        # printed character, so the rows sort as the texts do.
-        rows = _census_rows(
-            c_max, '    {\n      "params": "',
+        # is its own JSON string.  Each row starts with the comma that
+        # parts it from the one before, which the first drops; there is
+        # always a first, the two twisted bundles of bound 0.
+        rows = _entry_rows(
+            c_max, heads, ',\n    {\n      "params": "',
             lambda bound: f'",\n{_json_bound(bound, "      ")}\n    }}')
-        yield (f'{{\n  "cmax": {c_max},\n  "count": {len(rows)},\n'
-               f'  "entries": [\n')
-        yield from (row + ",\n" for row in rows[:-1])
-        yield rows[-1] + "\n  ]\n}\n"
+        yield (f'{{\n  "cmax": {c_max},\n  "count": {count},'
+               f'\n  "entries": [\n' + next(rows)[2:])
+        yield from rows
+        yield "\n  ]\n}\n"
         return
-    # the tab after the printed form sorts below every printed character
-    # and no two entries share a form, so the lines sort as the forms do
-    lines = _census_rows(
-        c_max, "",
+    yield (f"# closed non-orientable census, bound <= {c_max} "
+           f"({count} entries)\n")
+    yield "# params\tvalue\tcase_tag\texact\tlabel\n"
+    yield from _entry_rows(
+        c_max, heads, "",
         lambda bound: (f"\t{bound.value}\t{bound.case_tag.value}\t"
                        f"{'yes' if bound.exact else 'no'}\t"
                        f"{bound.label or '-'}\n"))
-    yield (f"# closed non-orientable census, bound <= {c_max} "
-           f"({len(lines)} entries)\n")
-    yield "# params\tvalue\tcase_tag\texact\tlabel\n"
-    yield from lines
 
 
 def _utf8_lines(handle: Iterable[str]) -> Iterator[str]:

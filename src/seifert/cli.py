@@ -49,14 +49,15 @@ EXIT_USAGE = 1
 EXIT_INVALID = 2
 EXIT_VIOLATION = 3
 
-# The census listing, its run time and its memory each grow about 2.07x
-# per unit of budget, and the walk meets the 2^(c-5) pairs that can
-# share a multiset, which it stores, and 2^(c-4) tails, from which it
-# builds the lone pairs one at a time: budget 20 lists 693,478
-# entries in about 3 s and 112 MB, and budget 22 in about 11 s and
-# 430 MB (--out, on a 2-vCPU host), so 24 needs about 1.6 GB and 45 s,
-# and each step past it doubles both.  A larger budget is refused rather
-# than left to exhaust memory.
+# The census listing is written as it is walked and never held, so its
+# memory is the walk's: the 2^(c-5) pairs that can share a multiset,
+# spelled, and the index of the 2^(c-3) pairs with 2q <= p, as numbers.
+# The listing, its run time and the walk's memory each grow about 2x per
+# unit of budget: budget 20 lists 693,478 entries in about 1.5 s and
+# 24 MB, budget 22 2,970,747 in about 5 s and 53 MB, and budget 24
+# 12,716,832 in about 21 s and 170 MB (peak RSS, --out, text or --json,
+# on a 2-vCPU host).  A larger budget is refused rather than left to run
+# for minutes and then exhaust memory.
 _GEN_BUDGET_LIMIT = 24
 
 
@@ -315,7 +316,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Help as exc:
         out, code, chunks = None, EXIT_OK, exc.args
     try:
-        if out:
+        if out is not None:
             with open(out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.writelines(chunks)
         else:
@@ -323,13 +324,14 @@ def main(argv: list[str] | None = None) -> int:
             # flushed here so that a failed write is reported below
             sys.stdout.flush()
     except OSError as exc:
-        if not out:
+        if out is None:
             # Point stdout at devnull so the flush at interpreter exit
             # does not raise again.
             devnull = os.open(os.devnull, os.O_WRONLY)
             os.dup2(devnull, sys.stdout.fileno())
             os.close(devnull)
-        print(f"cannot write {out or 'stdout'}: {exc}", file=sys.stderr)
+        print(f"cannot write {'stdout' if out is None else out}: {exc}",
+              file=sys.stderr)
         return EXIT_USAGE
     return code
 

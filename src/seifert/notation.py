@@ -22,8 +22,7 @@ scanner thus reads only refused or over-long text; the tests pin its
 every message and offset by one digest.
 
 ``format_params`` emits the canonical spelling (no whitespace), so
-``parse_params(format_params(x)) == x`` for every valid x.  Its pair
-list comes from ``_format_pairs``, which the census walk also calls.
+``parse_params(format_params(x)) == x`` for every valid x.
 """
 from __future__ import annotations
 
@@ -208,13 +207,8 @@ def format_params(params: SeifertParams) -> str:
     """Canonical bracket spelling: no whitespace, empty pair list omitted."""
     hplus = ",".join(str(h) for h in params.hplus)
     kminus = ",".join(str(kj) for kj in params.kminus)
+    pairs = ""
+    if params.pairs:
+        pairs = "(" + ",".join([f"({p},{q})" for p, q in params.pairs]) + ")"
     return (f"{{{params.b};({params.epsilon.value},{params.g},"
-            f"({params.t},{params.k}));({hplus}|{kminus});"
-            f"{_format_pairs(params.pairs)}}}")
-
-
-def _format_pairs(pairs: tuple[tuple[int, int], ...]) -> str:
-    """The pair list as ``format_params`` spells it, "" for no pairs."""
-    if not pairs:
-        return ""
-    return "(" + ",".join([f"({p},{q})" for p, q in pairs]) + ")"
+            f"({params.t},{params.k}));({hplus}|{kminus});{pairs}}}")

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 
 import seifert as sf
-from seifert.census import _census_entries, _pair_multisets
+from seifert.census import _census_heads, _census_walk, _extensions
 from seifert.cli import main
 from support import (census_brute_force, census_by_normalizing,
                      census_counts_by_shape, cf_coefficients, plain)
@@ -15,6 +15,22 @@ from support import (census_brute_force, census_by_normalizing,
 
 def P(text):
     return sf.parse_params(text)
+
+
+def census_tally(c_max):
+    """(eps, g, t, k, b, value) of each entry the census walk lists."""
+    heads = _census_heads(c_max)
+    for _, b, shape, bounds, bare, entries in _census_walk(c_max, heads):
+        key = (shape.epsilon, shape.g, shape.t, shape.k, b)
+        for _, cost, _ in entries:
+            yield (*key, bounds[cost].value)
+        if bare:
+            yield (*key, bare.value)
+
+
+def drain(c_max):
+    for _ in census_tally(c_max):
+        pass
 
 
 class TestPairsByBudget:
@@ -56,13 +72,27 @@ class TestPairMultisets:
             (cost, (p, q)) for cost, (p, q) in full if 2 * q <= p]
         pairs = [pq for _, pq in pool]
         cost = {pq: sum(cf_coefficients(*pq)) + 1 for pq in pairs}
+        # the walk takes, for each room r, the pairs that cost at most r,
+        # in the text order of "(p,q)"
+        spelled = sorted((f"({p},{q})", cost[p, q], (p, q)) for p, q in pairs)
+        fits = [[item for item in spelled if item[1] <= room]
+                for room in range(self.C_MAX + 1)]
         for budget in range(self.C_MAX + 1):
-            walked = []
-            for spent, ms in _pair_multisets(pool, budget):
+            walked, texts = [], []
+            for text, spent, ms in _extensions(fits, budget, False,
+                                               fits[budget], (0, 0)):
                 assert spent == sum(cost[pq] for pq in ms)
                 walked.append(tuple(sorted(ms)))
-            # the walk yields no empty multiset: _census_entries lists
-            # the pairless entries of a shape before it walks
+                texts.append(text)
+            # listed in text order, each pair list as format_params
+            # spells it less its closing ")"
+            assert texts == sorted(texts)
+            assert [text + ")}" for text in texts] == [
+                sf.format_params(sf.SeifertParams(0, sf.Epsilon.N1, 1, 0, 0,
+                                                  pairs=ms)).removeprefix(
+                    "{0;(n1,1,(0,0));(|);") for ms in walked]
+            # the walk yields no empty multiset: _census_walk gives the
+            # pairless entry of a head apart
             expected = {ms for size in range(1, budget // 3 + 1)
                         for ms in combinations_with_replacement(pairs, size)
                         if sum(cost[pq] for pq in ms) <= budget}
@@ -77,9 +107,10 @@ class TestPairMultisets:
         gc.collect()
         gc.disable()
         try:
-            for _ in _census_entries(12):
-                pass
-            walk = _pair_multisets([(3, (2, 1))], 9)
+            drain(12)
+            fits = [[("(2,1)", 3, (2, 1))] if room >= 3 else []
+                    for room in range(10)]
+            walk = _extensions(fits, 9, False, fits[9], (0, 0))
             next(walk)
             walk.close()
             del walk
@@ -88,14 +119,13 @@ class TestPairMultisets:
             gc.enable()
 
     def test_walk_stores_only_the_pairs_that_can_share_a_multiset(self):
-        # at budget 18 the walk keeps the 8,191 pairs that cost at most
-        # 15 and builds the 28,672 lone pairs with 2q <= p one at a time;
-        # it peaked at about 10 MB when it stored and sorted all 65,535
-        # pairs of cost at most 18
+        # at budget 18 the walk spells the 8,191 pairs that cost at most
+        # 15 and keeps the 28,672 lone pairs with 2q <= p as numbers, and
+        # holds no listing; it peaked at about 10 MB when it stored and
+        # sorted all 65,535 pairs of cost at most 18
         tracemalloc.start()
         try:
-            for _ in _census_entries(18):
-                pass
+            drain(18)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -103,10 +133,9 @@ class TestPairMultisets:
 
     @pytest.mark.parametrize("c_max", [10, 15, 16])
     def test_walk_draws_only_the_pairs_it_lists(self, c_max, monkeypatch):
-        # the pool draws the 2^(c-5) - 1 pairs of cf_sum <= c - 4, and the
-        # lone pass the 2^(c-4) - 1 tails of cf_sum <= c - 3 that it
-        # extends by a first coefficient a >= 2, so no pair is drawn
-        # only to be skipped
+        # the walk draws the 2^(c-4) - 1 tails of cf_sum <= c - 3 once and
+        # builds the pool and the lone pairs from them by a first
+        # coefficient, so no pair is drawn twice or only to be skipped
         drawn = 0
         pairs_with_cf_sum = sf.census._pairs_with_cf_sum
 
@@ -117,8 +146,7 @@ class TestPairMultisets:
                 yield item
 
         monkeypatch.setattr(sf.census, "_pairs_with_cf_sum", counting)
-        for _ in _census_entries(c_max):
-            pass
+        drain(c_max)
         assert drawn <= 2 ** (c_max - 5) + 2 ** (c_max - 4)
 
 
@@ -181,9 +209,7 @@ class TestEnumeration:
             assert len(entries) == totals[c]
             assert Counter((P.epsilon, P.g, P.t, P.k, P.b, bound.value)
                            for P, bound in entries) == expected[c]
-        walked = Counter((shape.epsilon, shape.g, shape.t, shape.k, b,
-                          bound.value)
-                         for _, bound, b, shape, _ in _census_entries(19))
+        walked = Counter(census_tally(19))
         for c, total in enumerate(totals):
             assert up_to(walked, c) == expected[c]
             assert sum(expected[c].values()) == total

@@ -461,6 +461,21 @@ class TestCensusCommands:
             # the layout, written by hand, is that of json.dumps(doc, indent=2)
             assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
+    def test_gen_count_is_the_number_listed(self, capsys):
+        # the count is printed before the first entry is walked, so it
+        # is not counted off the listing
+        for c in range(18):
+            code, out, _ = run(capsys, "census", "gen", "--cmax", str(c))
+            header, _, *lines = out.splitlines()
+            assert code == 0
+            assert header == (f"# closed non-orientable census, bound <= {c} "
+                              f"({len(lines)} entries)")
+        for c in (0, 3, 9, 14):
+            code, out, _ = run(capsys, "census", "gen", "--cmax", str(c),
+                               "--json")
+            doc = json.loads(out)
+            assert code == 0 and doc["count"] == len(doc["entries"])
+
     def test_gen_formats_once_per_shape_and_b(self, capsys, monkeypatch):
         # an entry with pairs is spelled from its shape's printed head, so
         # format_params must not run once per entry
@@ -711,15 +726,28 @@ class TestHostileInput:
 
     def test_unwritable_out_is_one(self, capsys, tmp_path, monkeypatch):
         # reported before the census is enumerated
-        def walk_nothing(c_max):
+        def walk_nothing(c_max, heads):
             raise AssertionError("census walked before opening --out")
 
-        monkeypatch.setattr("seifert.census._census_entries", walk_nothing)
+        monkeypatch.setattr("seifert.census._census_walk", walk_nothing)
         target = tmp_path / "absent-dir" / "census.tsv"
         code, out, err = run(capsys, "census", "gen", "--cmax", "14",
                              "--out", str(target))
         assert code == 1 and out == ""
         assert f"cannot write {target}" in err
+        assert "Traceback" not in err
+
+    def test_empty_out_is_one(self, capsys, monkeypatch):
+        # an empty path names no file, as census check --file '' does,
+        # and is not taken for stdout
+        def walk_nothing(c_max, heads):
+            raise AssertionError("census walked before opening --out")
+
+        monkeypatch.setattr("seifert.census._census_walk", walk_nothing)
+        code, out, err = run(capsys, "census", "gen", "--cmax", "3",
+                             "--out", "")
+        assert code == 1 and out == ""
+        assert err.startswith("cannot write : ")
         assert "Traceback" not in err
 
     @pytest.mark.skipif(not int_digit_limit(), reason="int() reads any length")
@@ -743,10 +771,10 @@ class TestHostileInput:
     def test_absurd_gen_budget_is_refused(self, capsys, tmp_path,
                                           monkeypatch):
         # refused before the walk starts and before --out is opened
-        def walk_nothing(c_max):
+        def walk_nothing(c_max, heads):
             raise AssertionError("census walked at an absurd budget")
 
-        monkeypatch.setattr("seifert.census._census_entries", walk_nothing)
+        monkeypatch.setattr("seifert.census._census_walk", walk_nothing)
         target = tmp_path / "census.tsv"
         for budget in ("25", "1000000000000"):
             code, out, err = run(capsys, "census", "gen", "--cmax", budget,

@@ -72,7 +72,10 @@ recorded complexity.  Records, rows and reports are immutable named
 tuples, like the records of ``core``.  ``ingest_census`` and ``compare``
 collect the generators ``_records`` and ``_graded``, which yield one
 record and one graded row at a time, so a caller that keeps less than
-every row can grade a table while reading it.
+every row can grade a table while reading it.  ``compare`` and
+``census check`` fold the graded rows through one tally, ``_Tally``,
+which counts them by status and notes each name recorded with more
+than one fibration.
 
 The text of ``seifert census gen`` and ``seifert census check`` is
 spelled here too, by ``_census_lines`` and ``_check_report``, as chunks
@@ -380,22 +383,34 @@ def _graded(records: Iterable[CensusRecord],
         yield ComparisonRow(record.name, P, record.complexity, bound, status)
 
 
-class _FibrationsByName:
-    """The distinct fibrations recorded under each name, kept only for
-    the names that record more than one, and the notes that name them.
-    A fibration is any value that is equal exactly when the fibrations
-    are: a canonical form, or its printed text."""
+# the summary key of each status; every other status is an overestimate
+_SUMMARY_KEYS = {"sharp": "sharp", "violation": "violations"}
 
-    __slots__ = ("first", "repeated")
+
+class _Tally:
+    """The graded rows of a table counted by status, and the distinct
+    fibrations recorded under each name, kept only for the names that
+    record more than one.  A fibration is any value that is equal
+    exactly when the fibrations are: a canonical form, or its printed
+    text."""
 
     def __init__(self):
+        # the counts, in the order the report prints them
+        self.summary = {"rows": 0, "sharp": 0, "overestimates": 0,
+                        "violations": 0}
         self.first = {}     # name -> its first fibration
         self.repeated = {}  # name -> its fibrations, if two or more
 
-    def add(self, name: str, fibration) -> None:
-        first = self.first.setdefault(name, fibration)
+    def add(self, row: ComparisonRow, fibration) -> str:
+        """Count row, whose fibration is given, and return its summary
+        key."""
+        key = _SUMMARY_KEYS.get(row.status, "overestimates")
+        self.summary["rows"] += 1
+        self.summary[key] += 1
+        first = self.first.setdefault(row.name, fibration)
         if first != fibration:
-            self.repeated.setdefault(name, {first}).add(fibration)
+            self.repeated.setdefault(row.name, {first}).add(fibration)
+        return key
 
     def notes(self) -> tuple[str, ...]:
         return tuple(
@@ -407,18 +422,16 @@ def compare(records: Iterable[CensusRecord],
             c_max: int | None = None) -> ComparisonReport:
     """Grade the bound against each record with recorded complexity
     <= c_max (all records when c_max is None)."""
-    rows = tuple(_graded(records, c_max))
-    names = _FibrationsByName()
-    for row in rows:
-        names.add(row.name, row.normalized)
+    tally = _Tally()
+    rows, overestimates = [], []
+    for row in _graded(records, c_max):
+        rows.append(row)
+        if tally.add(row, row.normalized) == "overestimates":
+            overestimates.append(row)
     return ComparisonReport(
-        rows=rows,
-        sharp=sum(1 for row in rows if row.status == "sharp"),
-        overestimates=tuple(row for row in rows
-                            if row.status.startswith("overestimate")),
-        violations=sum(1 for row in rows if row.status == "violation"),
-        notes=names.notes(),
-    )
+        rows=tuple(rows), sharp=tally.summary["sharp"],
+        overestimates=tuple(overestimates),
+        violations=tally.summary["violations"], notes=tally.notes())
 
 
 # The text of the census commands; cli parses the arguments, opens the
@@ -502,23 +515,13 @@ def _check_report(handle: Iterable[str], c_max: int | None,
         from json import dumps
     rows: list[str] = []
     overestimated: list[str] = []  # the overestimate lines of the text
-    summary = {"rows": 0, "sharp": 0, "overestimates": 0, "violations": 0}
-    names = _FibrationsByName()
+    tally = _Tally()
     for row in _graded(_records(_utf8_lines(handle)), c_max):
         name, bound, status = row.name, row.bound, row.status
         form = format_params(row.normalized)
-        names.add(name, form)
-        summary["rows"] += 1
-        if status == "sharp":
-            summary["sharp"] += 1
-        elif status == "violation":
-            summary["violations"] += 1
-        else:
-            summary["overestimates"] += 1
-            if not as_json:
-                overestimated.append(
-                    f"overestimate: {name} [{bound.case_tag.value}] "
-                    f"{status}\n")
+        if tally.add(row, form) == "overestimates" and not as_json:
+            overestimated.append(
+                f"overestimate: {name} [{bound.case_tag.value}] {status}\n")
         if as_json:
             # the row as json.dumps(doc, indent=2) lays it out in the
             # rows of doc, with the text before it
@@ -533,7 +536,7 @@ def _check_report(handle: Iterable[str], c_max: int | None,
         else:
             rows.append(f"{name}\t{form}\trecorded={row.recorded}\t"
                         f"bound={bound.value}\t{status}\n")
-    notes = names.notes()
+    summary, notes = tally.summary, tally.notes()
     if as_json:
         # the rest of doc, after its rows
         rest = dumps({"summary": summary, "notes": list(notes)}, indent=2)

@@ -22,6 +22,7 @@ Exit codes: 0 success, 1 usage or parse error, 2 validation failure,
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import os
 import sys
@@ -319,12 +320,15 @@ def main(argv: list[str] | None = None) -> int:
         if out is not None:
             with open(out, "w", encoding="utf-8", newline="\n") as handle:
                 handle.writelines(chunks)
+        elif sys.stdout is None:  # started with stdout closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
             sys.stdout.writelines(chunks)
             # flushed here so that a failed write is reported below
             sys.stdout.flush()
-    except OSError as exc:
-        if out is None:
+    except (OSError, UnicodeEncodeError) as exc:
+        # UnicodeEncodeError: a name that the stdout encoding cannot spell
+        if out is None and sys.stdout is not None:
             # Point stdout at devnull so the flush at interpreter exit
             # does not raise again.
             devnull = os.open(os.devnull, os.O_WRONLY)

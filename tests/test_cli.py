@@ -809,6 +809,43 @@ class TestHostileInput:
         assert "Traceback" not in err and "Exception ignored" not in err
         assert "cannot write stdout" in err
 
+    def test_stdout_closed_at_start_is_one(self):
+        # with fd 1 closed before the interpreter starts, sys.stdout is None
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        start = ("import os, sys; os.close(1); "
+                 "os.execv(sys.executable, [sys.executable, *sys.argv[1:]])")
+        proc = subprocess.run(
+            [sys.executable, "-c", start, "-m", "seifert", "bound",
+             "{0;(n1,1,(0,0));(|);}"],
+            stderr=subprocess.PIPE, env=env, text=True, timeout=60)
+        assert proc.returncode == 1
+        assert proc.stderr == (
+            "cannot write stdout: [Errno 9] Bad file descriptor\n")
+
+    @pytest.mark.parametrize("flags,code", [((), 1), (("--json",), 0)],
+                             ids=["text", "json"])
+    def test_name_that_stdout_cannot_encode(self, tmp_path, flags, code):
+        # the text spells the name as it is; JSON escapes it
+        (tmp_path / "table.tsv").write_text(
+            "caf\u00e9\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\n",
+            encoding="utf-8")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="ascii")
+        proc = subprocess.run(
+            [sys.executable, "-m", "seifert", "census", "check", "--file",
+             "table.tsv", *flags],
+            capture_output=True, cwd=tmp_path, env=env, text=True,
+            timeout=60)
+        assert proc.returncode == code
+        if code:
+            assert proc.stderr.startswith(
+                "cannot write stdout: 'ascii' codec can't encode")
+            assert proc.stderr.count("\n") == 1
+        else:
+            assert proc.stderr == ""
+            assert '"name": "caf\\u00e9"' in proc.stdout
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="no /dev/full to fill")
     @pytest.mark.parametrize("argv", [
@@ -868,6 +905,14 @@ class TestHostileInput:
         for command in [("census", "gen"),
                         ("census", "check", "--file", "table.tsv")]
         for budget in ["1_0", "\u0661\u0660", "+10", " 10"]
+    ] + [
+        # more digits than int() reads
+        pytest.param((*command, "--cmax", "9" * (int_digit_limit() + 1)),
+                     id=f"{command[1]}-beyond-digit-limit",
+                     marks=pytest.mark.skipif(not int_digit_limit(),
+                                              reason="int() reads any length"))
+        for command in [("census", "gen"),
+                        ("census", "check", "--file", "table.tsv")]
     ])
     def test_budget_must_be_a_non_negative_integer(self, capsys, argv):
         code, out, err = run(capsys, *argv)

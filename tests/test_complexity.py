@@ -57,6 +57,8 @@ class TestClosedBound:
         assert result.case_tag is sf.CaseTag.LENS_B1
         assert result.label == "L(3,1)"
         assert bound("{7;(o1,0,(0,0));(|);}").value == 4
+        # b = 0 is S2 x S1
+        assert bound("{0;(o1,0,(0,0));(|);}").label == "L(0,1)"
 
     def test_lens_bpq(self):
         result = bound("{2;(o1,0,(0,0));(|);((5,2))}")
@@ -210,3 +212,5 @@ class TestSharperFamilyNote:
         assert sf.sharper_bound_note(
             P("{0;(o1,0,(0,0));(|);((2,1),(3,1),(11,2))}")) is None
         assert sf.sharper_bound_note(P("{0;(n1,2,(0,0));(|);((2,1))}")) is None
+        assert sf.sharper_bound_note(
+            P("{-1;(o1,0,(0,0));(|);((3,1),(3,1),(4,1))}")) is None

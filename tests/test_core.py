@@ -73,6 +73,12 @@ class TestValidate:
         params = sf.SeifertParams(0, sf.Epsilon.N4, 1, 0, 2, (), (), ((4, 2),))
         violations = sf.validate(params)
         assert len(violations) >= 4  # non-coprime, k > t, parity, eps rules
+        params = sf.SeifertParams(0, sf.Epsilon.O, -1, -1, -1, (-1,), (-1,))
+        assert {"g must be non-negative", "t must be non-negative",
+                "k must be non-negative",
+                "entries of the h-list must be non-negative",
+                "entries of the k-list must be non-negative",
+                } <= set(sf.validate(params))
 
     def test_raw_q_and_b_are_not_violations(self):
         assert sf.validate(sf.parse_params("{-7;(o1,0,(0,0));(|);((5,12))}")) == []

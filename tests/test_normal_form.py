@@ -54,6 +54,11 @@ class TestReflectPair:
         with pytest.raises(ValueError):
             sf.reflect_pair(P("{0;(n2,1,(0,0));(|);((5,2))}"), 1)
 
+    @pytest.mark.parametrize("j", [0, 2])
+    def test_rejects_a_pair_index_out_of_range(self, j):
+        with pytest.raises(IndexError, match=f"pair index {j} out of range 1..1"):
+            sf.reflect_pair(P("{1;(n1,2,(0,0));(|);((5,2))}"), j)
+
 
 class TestMirror:
     def test_closed_orientable_formula(self):

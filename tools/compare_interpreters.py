@@ -1,0 +1,89 @@
+"""Run a fixed list of ``python -m seifert`` commands under each given
+interpreter and compare what they print.
+
+    python3 tools/compare_interpreters.py PYTHON [PYTHON ...]
+
+Each PYTHON is the path of an interpreter; the script runs those it is
+given and looks for no other.  Every command runs with ``PYTHONPATH``
+set to the ``src`` directory of this checkout, in a temporary directory
+that holds a small census table.  For each command and interpreter the
+script prints one sha256 over the exit code, stdout and stderr, and it
+exits 1 if any command's digest differs between the interpreters.
+Standard library only, so it runs under any interpreter the package
+supports.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+# sharp, overestimated and violated rows in both conventions, a comment,
+# and a name recorded with two fibrations
+TABLE = """\
+# census table for the interpreter comparison
+RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tnormalized
+twisted\t{1;(n1,1,(0,0));(|);}\t0\tnormalized
+over\t{0;(n1,2,(0,0));(|);((2,1))}\t1\tburton
+low\t{0;(n2,2,(0,0));(|);((3,1))}\t99\tnormalized
+twice\t{0;(n1,1,(0,0));(|);((3,1))}\t4\tnormalized
+twice\t{0;(n1,1,(0,0));(|);((5,2))}\t5\tburton
+"""
+
+COMMANDS = [
+    ("bound", "--json", "{-1;(o1,0,(0,0));(|);((2,1),(3,1),(11,2))}"),
+    ("info", "{0;(o,4,(1,1));(1|0);}"),
+    ("--help",),
+    ("bound", "{0;(N1,1,(0,0));(|);}"),  # a parse error
+    ("census", "gen", "--cmax", "12"),
+    ("census", "gen", "--cmax", "12", "--json"),
+    ("census", "check", "--file", "table.tsv"),
+    ("census", "check", "--file", "table.tsv", "--json"),
+]
+
+
+def digest(python: str, argv: tuple[str, ...], cwd: str) -> str:
+    """sha256 over the exit code, stdout and stderr of one command."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run([python, "-m", "seifert", *argv], cwd=cwd,
+                          env=env, capture_output=True, timeout=300)
+    h = hashlib.sha256()
+    for part in (str(proc.returncode).encode(), proc.stdout, proc.stderr):
+        h.update(len(part).to_bytes(8, "big") + part)
+    return h.hexdigest()
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("pythons", nargs="+", metavar="PYTHON",
+                        help="path of an interpreter to run the commands")
+    args = parser.parse_args(argv)
+    for python in args.pythons:
+        version = subprocess.run([python, "--version"], capture_output=True,
+                                 text=True, timeout=60)
+        print(f"# {python}: {(version.stdout or version.stderr).strip()}")
+    differ = 0
+    with tempfile.TemporaryDirectory() as cwd:
+        Path(cwd, "table.tsv").write_text(TABLE, encoding="utf-8")
+        for command in COMMANDS:
+            digests = [digest(python, command, cwd)
+                       for python in args.pythons]
+            same = len(set(digests)) == 1
+            differ += not same
+            print(f"{'same' if same else 'DIFFERS'}: seifert "
+                  + " ".join(command))
+            for python, value in zip(args.pythons, digests):
+                print(f"  {value}  {python}")
+    print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands "
+          f"print the same bytes under {len(args.pythons)} interpreters")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

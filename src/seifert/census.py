@@ -57,9 +57,11 @@ its closing brace, followed by its pair list "((p,q),...)" and "}".
 
 ``format_params`` is called once per head, and the walk spells each
 pair "(p,q)" as ``format_params`` does.  ``census gen`` prints the
-number of entries before the first one.  ``_census_count`` finds it
-with no walk, by generating functions over the number of pairs of each
-cost, with Burnside's lemma for the mirror rule of o1 and n2.
+number of entries before the first one.  Each head carries its own
+count, found with no walk as ``_census_heads`` builds the head, by
+generating functions over the number of pairs of each cost, with
+Burnside's lemma for the mirror rule of o1 and n2; the total is their
+sum.
 
 External census tables are read from TSV, one record per line:
 
@@ -106,7 +108,7 @@ from .core import (
 from .normal_form import normalize
 from .notation import format_params, parse_params
 
-CONVENTIONS = ("normalized", "burton")
+_CONVENTIONS = ("normalized", "burton")
 
 
 class CensusRecord(namedtuple("CensusRecord",
@@ -215,12 +217,39 @@ def _extensions(fits: list[list[tuple]], room: int, mirror: bool,
                                    pair, text + ",", total, extended)
 
 
+def _multisets(kinds: dict[int, int], room: int) -> list[int]:
+    # [number of multisets of total cost at most r for r in 0..room], the
+    # empty one among them, of kinds[c] kinds of item of each cost c:
+    # from the coefficients of prod_c 1/(1 - x^c)^kinds[c]
+    coeffs = [1] + [0] * room
+    for cost, n in kinds.items():
+        coeffs = [sum(comb(n + j - 1, j) * coeffs[i - cost * j]
+                      for j in range(i // cost + 1)) for i in range(room + 1)]
+    return list(accumulate(coeffs))
+
+
 def _census_heads(c_max: int) -> list[tuple]:
     # (head, b, shape, room, bound of the pairless entry, None if it
-    # exceeds c_max) for each head, in text order.  The shapes: g, t,
-    # k <= c_max // 6 + 1, as each genus and each reflector circle adds
-    # at least 6 to the bound; the budget is tested before validate
-    # because it prunes most of the grid.
+    # exceeds c_max, number of entries) for each head, in text order.
+    # The shapes: g, t, k <= c_max // 6 + 1, as each genus and each
+    # reflector circle adds at least 6 to the bound; the budget is tested
+    # before validate because it prunes most of the grid.
+    #
+    # The counts come from the number of pairs of each cost c, with no
+    # walk: 2^(c-3) with 0 < q < p, and with 2q <= p one of cost 3,
+    # (2,1), and 2^(c-4) of each cost c >= 4.  Under the mirror
+    # q -> p - q, which keeps the cost, an o1/n2 shape lists one multiset
+    # of each orbit, (all + fixed) / 2 by Burnside; a fixed multiset holds
+    # (2,1), the one fixed pair, and the other pairs in couples with their
+    # mirror images.
+    full = {c: 2 ** (c - 3) for c in range(3, c_max + 1)}
+    half = {c: 2 ** (c - 4) for c in range(4, c_max + 1)}
+    fixed = {3: 1, **{2 * c: n // 2 for c, n in full.items()
+                       if 3 < c <= c_max // 2}}
+    mirrored = [(n + n_fixed) // 2 for n, n_fixed in zip(
+        _multisets(full, c_max), _multisets(fixed, c_max))]
+    # b = 1 takes no (2,1)
+    by_b = (_multisets({3: 1, **half}, c_max), _multisets(half, c_max))
     heads = []
     grid = range(c_max // 6 + 2)
     for eps, g, t, k in product(Epsilon, grid, grid, grid):
@@ -232,8 +261,13 @@ def _census_heads(c_max: int) -> list[tuple]:
             # the special fibrations are all pairless, and upper_bound
             # knows them
             bound = upper_bound(NormalizedSeifertParams(b, eps, g, t, k))
+            fits = bound.value <= c_max
+            # the head lists its multisets but the empty one, and the
+            # pairless entry if it fits
+            count = (mirrored if eps in ORIENTABLE_AWAY_FROM_SE
+                     else by_b[b])[room] - 1 + fits
             heads.append((format_params(shape._replace(b=b))[:-1], b, shape,
-                          room, bound if bound.value <= c_max else None))
+                          room, bound if fits else None, count))
     heads.sort(key=itemgetter(0))
     return heads
 
@@ -248,7 +282,7 @@ def _census_walk(c_max: int, heads: list[tuple]) -> Iterator[tuple]:
     full = [[item for item in pool if item[1] <= r] for r in range(c_max - 2)]
     half = [[item for item in fits if 2 * item[2][1] <= item[2][0]]
             for fits in full]
-    for head, b, shape, room, bare in heads:
+    for head, b, shape, room, bare, _ in heads:
         mirror = shape.epsilon in ORIENTABLE_AWAY_FROM_SE
         # the first pair has 2q <= p under either rule, and b = 1 takes no
         # (2,1), the least pair
@@ -257,40 +291,6 @@ def _census_walk(c_max: int, heads: list[tuple]) -> Iterator[tuple]:
                               (2, 2) if b else (2, 1))
         yield head, b, shape, [_closed_nonorientable_general(shape, s)
                                for s in range(room + 1)], bare, entries
-
-
-def _multisets(kinds: dict[int, int], room: int) -> list[int]:
-    # [number of multisets of total cost at most r for r in 0..room], the
-    # empty one among them, of kinds[c] kinds of item of each cost c:
-    # from the coefficients of prod_c 1/(1 - x^c)^kinds[c]
-    coeffs = [1] + [0] * room
-    for cost, n in kinds.items():
-        coeffs = [sum(comb(n + j - 1, j) * coeffs[i - cost * j]
-                      for j in range(i // cost + 1)) for i in range(room + 1)]
-    return list(accumulate(coeffs))
-
-
-def _census_count(c_max: int, heads: list[tuple]) -> int:
-    # the number of census entries of the heads, from the number of
-    # pairs of each cost c, with no walk: 2^(c-3) with 0 < q < p, and with
-    # 2q <= p one of cost 3, (2,1), and 2^(c-4) of each cost c >= 4.
-    # Under the mirror q -> p - q, which keeps the cost, an o1/n2 shape
-    # lists one multiset of each orbit, (all + fixed) / 2 by Burnside; a
-    # fixed multiset holds (2,1), the one fixed pair, and the other pairs
-    # in couples with their mirror images.
-    full = {c: 2 ** (c - 3) for c in range(3, c_max + 1)}
-    half = {c: 2 ** (c - 4) for c in range(4, c_max + 1)}
-    fixed = {3: 1, **{2 * c: n // 2 for c, n in full.items()
-                       if 3 < c <= c_max // 2}}
-    mirrored = [(n + n_fixed) // 2 for n, n_fixed in zip(
-        _multisets(full, c_max), _multisets(fixed, c_max))]
-    # b = 1 takes no (2,1)
-    by_b = (_multisets({3: 1, **half}, c_max), _multisets(half, c_max))
-    # each head lists its multisets but the empty one, and the pairless
-    # entry if it fits
-    return sum((mirrored if shape.epsilon in ORIENTABLE_AWAY_FROM_SE
-                else by_b[b])[room] - 1 + (bare is not None)
-               for _, b, shape, room, bare in heads)
 
 
 def enumerate_nonorientable_closed(
@@ -348,11 +348,11 @@ def _records(source: Iterable[str] | str) -> Iterator[CensusRecord]:
                 lineno, f"complexity is not an integer: {complexity_text!r}") from None
         if complexity < 0:
             raise CensusFormatError(lineno, "complexity must be non-negative")
-        if convention not in CONVENTIONS:
+        if convention not in _CONVENTIONS:
             raise CensusFormatError(
                 lineno,
                 f"unknown convention {convention!r}; expected one of "
-                + ", ".join(CONVENTIONS))
+                + ", ".join(_CONVENTIONS))
         yield CensusRecord(name, params, complexity, convention)
 
 
@@ -464,9 +464,10 @@ def _json_bound(bound: ComplexityBound, indent: str) -> str:
 
 def _census_lines(c_max: int, as_json: bool) -> Iterator[str]:
     # the census gen listing, text or JSON, in chunks, one per entry;
-    # the count, which comes first, is _census_count's
+    # the count, which comes first, is the sum of the counts that the
+    # heads carry
     heads = _census_heads(c_max)
-    count = _census_count(c_max, heads)
+    count = sum(head[-1] for head in heads)
     if as_json:
         # one JSON text per entry, in json.dumps(doc, indent=2) layout;
         # a printed form is ASCII without quotes or backslashes, so it

@@ -323,6 +323,13 @@ def main(argv: list[str] | None = None) -> int:
         elif sys.stdout is None:  # started with stdout closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
+            encoding = getattr(sys.stdout, "encoding", None)
+            if encoding and not isinstance(chunks, Iterator):
+                # a complete answer is written whole or not at all: every
+                # chunk is spelled before the first write; the census gen
+                # listing, streamed, is ASCII
+                for chunk in chunks:
+                    chunk.encode(encoding, sys.stdout.errors or "strict")
             sys.stdout.writelines(chunks)
             # flushed here so that a failed write is reported below
             sys.stdout.flush()

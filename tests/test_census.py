@@ -226,6 +226,15 @@ class TestEnumeration:
         # nor does the listing
         assert dict(listed) == expected[17]
 
+    def test_each_head_counts_what_the_walk_lists_under_it(self):
+        # the closed-form count of each shape and b, not only the total:
+        # the entries with pairs, and the pairless one when it fits
+        for c_max in range(17):
+            heads = _census_heads(c_max)
+            listed = [sum(1 for _ in entries) + bool(bare) for
+                      _, _, _, _, bare, entries in _census_walk(c_max, heads)]
+            assert listed == [head[-1] for head in heads], c_max
+
     def test_matches_normalize_and_fold_reference(self):
         for c in range(13):
             assert (dict(sf.enumerate_nonorientable_closed(c))

@@ -846,6 +846,27 @@ class TestHostileInput:
             assert proc.stderr == ""
             assert '"name": "caf\\u00e9"' in proc.stdout
 
+    def test_name_that_stdout_cannot_encode_leaves_stdout_empty(self,
+                                                                tmp_path):
+        # the rows before the bad name are spelled too, but none is written
+        (tmp_path / "table.tsv").write_text(
+            "RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\n"
+            "twisted\t{1;(n1,1,(0,0));(|);}\t0\tnormalized\n"
+            "caf\u00e9\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\n",
+            encoding="utf-8")
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONIOENCODING="ascii")
+        proc = subprocess.run(
+            [sys.executable, "-m", "seifert", "census", "check", "--file",
+             "table.tsv"],
+            capture_output=True, cwd=tmp_path, env=env, text=True,
+            timeout=60)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(
+            "cannot write stdout: 'ascii' codec can't encode")
+        assert proc.stderr.count("\n") == 1
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"),
                         reason="no /dev/full to fill")
     @pytest.mark.parametrize("argv", [

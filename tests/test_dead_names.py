@@ -1,7 +1,8 @@
 """No dead names in the package: every name a module imports is used in
 that module, and every private module-level name is used somewhere in
 the package or its tests; and each eagerly loaded module's ``__all__``
-lists exactly the public names it defines.  Read with ast, so a mention
+lists exactly the public names it defines, as the package's
+``_CENSUS_NAMES`` does for ``census``.  Read with ast, so a mention
 in a comment or a docstring does not count as a use."""
 import ast
 from collections import Counter
@@ -78,11 +79,9 @@ def test_every_private_name_is_used():
     assert unused == []
 
 
-@pytest.mark.parametrize("module", ["complexity", "core", "normal_form",
-                                    "notation"])
-def test_all_lists_exactly_the_public_names_the_module_defines(module):
-    # census is left out: it loads on first use, and the package keeps
-    # its public names in _CENSUS_NAMES
+def public_names(module: str) -> list[str]:
+    """The public module-level names that module defines (def, class,
+    assignment), sorted."""
     defined = set()
     for statement in parse(ROOT / "src" / "seifert" / f"{module}.py").body:
         if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
@@ -92,9 +91,22 @@ def test_all_lists_exactly_the_public_names_the_module_defines(module):
                            if isinstance(t, ast.Name))
         elif isinstance(statement, ast.AnnAssign):
             defined.add(getattr(statement.target, "id", "_"))
-    public = sorted(name for name in defined if not name.startswith("_"))
+    return sorted(name for name in defined if not name.startswith("_"))
+
+
+@pytest.mark.parametrize("module", ["complexity", "core", "normal_form",
+                                    "notation"])
+def test_all_lists_exactly_the_public_names_the_module_defines(module):
+    # census is checked below: it loads on first use, and the package
+    # keeps its public names in _CENSUS_NAMES
+    public = public_names(module)
     star = {}
     exec(f"from seifert.{module} import *", star)
     del star["__builtins__"]
     assert sorted(import_module(f"seifert.{module}").__all__) == public
     assert sorted(star) == public
+
+
+def test_census_defines_exactly_the_public_names_the_package_lists():
+    assert sorted(import_module("seifert")._CENSUS_NAMES) == public_names(
+        "census")

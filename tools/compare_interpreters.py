@@ -5,10 +5,11 @@ interpreter and compare what they print.
 
 Each PYTHON is the path of an interpreter; the script runs those it is
 given and looks for no other.  Every command runs with ``PYTHONPATH``
-set to the ``src`` directory of this checkout, in a temporary directory
-that holds a small census table.  For each command and interpreter the
-script prints one sha256 over the exit code, stdout and stderr, and it
-exits 1 if any command's digest differs between the interpreters.
+set to the ``src`` directory of this checkout, and some with one more
+variable, in a temporary directory that holds two small census tables.
+For each command and interpreter the script prints one sha256 over the
+exit code, stdout and stderr, and it exits 1 if any command's digest
+differs between the interpreters.
 Standard library only, so it runs under any interpreter the package
 supports.
 """
@@ -36,21 +37,34 @@ twice\t{0;(n1,1,(0,0));(|);((3,1))}\t4\tnormalized
 twice\t{0;(n1,1,(0,0));(|);((5,2))}\t5\tburton
 """
 
+# two rows, the last named with a letter that ASCII cannot spell
+ASCII_TABLE = """\
+RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tnormalized
+caf\u00e9\t{0;(n1,1,(0,0));(|);}\t1\tnormalized
+"""
+
+# (environment beyond PYTHONPATH, arguments) of each command
 COMMANDS = [
-    ("bound", "--json", "{-1;(o1,0,(0,0));(|);((2,1),(3,1),(11,2))}"),
-    ("info", "{0;(o,4,(1,1));(1|0);}"),
-    ("--help",),
-    ("bound", "{0;(N1,1,(0,0));(|);}"),  # a parse error
-    ("census", "gen", "--cmax", "12"),
-    ("census", "gen", "--cmax", "12", "--json"),
-    ("census", "check", "--file", "table.tsv"),
-    ("census", "check", "--file", "table.tsv", "--json"),
+    ({}, ("bound", "--json", "{-1;(o1,0,(0,0));(|);((2,1),(3,1),(11,2))}")),
+    ({}, ("info", "{0;(o,4,(1,1));(1|0);}")),
+    ({}, ("--help",)),
+    ({}, ("bound", "{0;(N1,1,(0,0));(|);}")),  # a parse error
+    ({}, ("census", "gen", "--cmax", "12")),
+    ({}, ("census", "gen", "--cmax", "12", "--json")),
+    ({}, ("census", "check", "--file", "table.tsv")),
+    ({}, ("census", "check", "--file", "table.tsv", "--json")),
+    # a name that stdout cannot spell: one stderr line, stdout empty
+    ({"PYTHONIOENCODING": "ascii"},
+     ("census", "check", "--file", "ascii.tsv")),
 ]
 
 
-def digest(python: str, argv: tuple[str, ...], cwd: str) -> str:
-    """sha256 over the exit code, stdout and stderr of one command."""
-    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1")
+def digest(python: str, extra: dict[str, str], argv: tuple[str, ...],
+           cwd: str) -> str:
+    """sha256 over the exit code, stdout and stderr of one command, run
+    with the variables of extra added to its environment."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1",
+               **extra)
     proc = subprocess.run([python, "-m", "seifert", *argv], cwd=cwd,
                           env=env, capture_output=True, timeout=300)
     h = hashlib.sha256()
@@ -71,13 +85,15 @@ def main(argv: list[str] | None = None) -> int:
     differ = 0
     with tempfile.TemporaryDirectory() as cwd:
         Path(cwd, "table.tsv").write_text(TABLE, encoding="utf-8")
-        for command in COMMANDS:
-            digests = [digest(python, command, cwd)
+        Path(cwd, "ascii.tsv").write_text(ASCII_TABLE, encoding="utf-8")
+        for extra, command in COMMANDS:
+            digests = [digest(python, extra, command, cwd)
                        for python in args.pythons]
             same = len(set(digests)) == 1
             differ += not same
-            print(f"{'same' if same else 'DIFFERS'}: seifert "
-                  + " ".join(command))
+            print(f"{'same' if same else 'DIFFERS'}: "
+                  + " ".join([*(f"{k}={v}" for k, v in extra.items()),
+                              "seifert", *command]))
             for python, value in zip(args.pythons, digests):
                 print(f"  {value}  {python}")
     print(f"{len(COMMANDS) - differ} of {len(COMMANDS)} commands "

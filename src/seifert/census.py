@@ -84,8 +84,6 @@ spelled here too, by ``_census_lines`` and ``_check_report``, as chunks
 for ``cli.main`` to write.  It lives here rather than in ``cli``
 because ``cli`` imports this module only when a census command runs.
 """
-from __future__ import annotations
-
 import io
 from array import array
 from collections import defaultdict, namedtuple

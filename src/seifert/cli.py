@@ -19,8 +19,6 @@ so a one-shot command neither loads nor compiles it.
 Exit codes: 0 success, 1 usage or parse error, 2 validation failure,
 3 census violation found.
 """
-from __future__ import annotations
-
 import argparse
 import errno
 import functools

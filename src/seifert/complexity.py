@@ -21,8 +21,6 @@ The non-orientable formula has one home, ``_closed_nonorientable_general``,
 which takes the fibre-term sum; ``upper_bound`` and the census walk both
 call it.
 """
-from __future__ import annotations
-
 from .core import (
     CaseTag,
     ComplexityBound,

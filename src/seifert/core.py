@@ -28,8 +28,6 @@ Every record here is a ``collections.namedtuple`` subclass with
 changed copy, which for a parameter set is always a plain, raw
 ``SeifertParams``.
 """
-from __future__ import annotations
-
 from collections import namedtuple
 from enum import Enum
 from math import gcd

@@ -16,8 +16,6 @@ when they are connected by the moves below:
 ``normalize`` reduces any valid raw set to the unique representative of
 its move class; ``equivalent`` compares two sets through it.
 """
-from __future__ import annotations
-
 from .core import (
     ORIENTABLE_AWAY_FROM_SE,
     FibredSolidTorusType,
@@ -102,14 +100,15 @@ def _mirror_min(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
 def normalize(params: SeifertParams) -> NormalizedSeifertParams:
     """Reduce a valid parameter set to its unique canonical form.
 
-    Steps: (1) absorb every (1, q) pair into b; (2) twist each q_j into
-    0 < q_j < p_j; (3) for eps outside {o1, n2} reflect each pair down to
-    q_j <= p_j/2; (4) reduce b: b = 0 whenever t + m+ + m- > 0, b mod 2
-    for eps in {o2, n1, n3, n4} (and b = 0 if a p_j = 2 then allows one
-    more reflection), and for eps in {o1, n2} mirror until b >= -r/2 in
-    the closed orientable case or until the pair list is the canonical
-    one of the two mirror images otherwise; (5) sort the boundary lists
-    and the pairs.
+    Steps (1)-(3) run on each pair in turn, in one pass over the pairs:
+    (1) twist q_j into 0 <= q_j < p_j; (2) for eps outside {o1, n2}
+    reflect the pair down to q_j <= p_j/2; (3) keep it only if p_j > 1,
+    since a (1, q) pair has twisted wholly into b.  Then (4) reduce b:
+    b = 0 whenever t + m+ + m- > 0, b mod 2 for eps in {o2, n1, n3, n4}
+    (and b = 0 if a p_j = 2 then allows one more reflection), and for
+    eps in {o1, n2} mirror until b >= -r/2 in the closed orientable case
+    or until the pair list is the canonical one of the two mirror images
+    otherwise; (5) sort the boundary lists and the pairs.
 
     The result is a fixed point of normalize and is constant on move
     classes: composing the input with any finite word of twist,
@@ -125,22 +124,18 @@ def normalize(params: SeifertParams) -> NormalizedSeifertParams:
     if problems:
         raise ValueError("invalid parameters: " + "; ".join(problems))
 
+    eps = params.epsilon
+    mirror_only = eps in ORIENTABLE_AWAY_FROM_SE
     b = params.b
     pairs = []
     for p, q in params.pairs:
-        if p == 1:
-            b += q
-            continue
         b += q // p
-        pairs.append((p, q % p))
-
-    eps = params.epsilon
-    mirror_only = eps in ORIENTABLE_AWAY_FROM_SE
-    if not mirror_only:
-        for i, (p, q) in enumerate(pairs):
-            if 2 * q > p:
-                pairs[i] = (p, p - q)
-                b += 1
+        q %= p
+        if 2 * q > p and not mirror_only:
+            q = p - q
+            b += 1
+        if p > 1:
+            pairs.append((p, q))
     pairs.sort()
 
     r = len(pairs)

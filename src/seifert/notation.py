@@ -12,8 +12,9 @@ Grammar (whitespace between tokens is ignored):
 ``parse_params`` accepts input with one regular expression of this
 grammar (``_PATTERN``, compiled on first use so that importing the
 package does not pay for it), then reads each list with one ``findall``.
-Input the pattern refuses, and an eps word that is not one of the eight,
-goes to ``_Scanner``, the token-by-token reader that is the one place a
+The pattern's eps group matches exactly the eight eps words, so it
+refuses any other word itself.  Input the pattern refuses goes to
+``_Scanner``, the token-by-token reader that is the one place a
 ``ParseError`` is raised, at the offset of the first bad token.  So does
 input longer than ``_digit_cap()``, the cap on the digits of all
 integers of one input together: text within that length cannot hold
@@ -24,8 +25,6 @@ every message and offset by one digest.
 ``format_params`` emits the canonical spelling (no whitespace), so
 ``parse_params(format_params(x)) == x`` for every valid x.
 """
-from __future__ import annotations
-
 import functools
 import re
 import sys
@@ -59,7 +58,7 @@ _PAIR = r"\(\s*-?[0-9]+\s*,\s*-?[0-9]+\s*\)\s*"
 _NATLIST = r"((?:[0-9]+\s*(?:,\s*[0-9]+\s*)*)?)"
 _PATTERN = (
     r"\s*\{\s*(-?[0-9]+)\s*;\s*"
-    r"\(\s*([on1-4]+)\s*,\s*([0-9]+)\s*,"
+    r"\(\s*(o[12]?|n[1-4]?)\s*,\s*([0-9]+)\s*,"
     r"\s*\(\s*([0-9]+)\s*,\s*([0-9]+)\s*\)\s*\)\s*;\s*"
     rf"\(\s*{_NATLIST}\|\s*{_NATLIST}\)\s*;\s*"
     rf"(?:\(\s*({_PAIR}(?:,\s*{_PAIR})*)\)\s*)?\}}\s*")
@@ -161,15 +160,13 @@ def parse_params(text: str) -> SeifertParams:
         match = fullmatch(text)
         if match is not None:
             b, eps, g, t, k, hplus, kminus, pairs = match.groups()
-            epsilon = _EPSILONS.get(eps)
-            if epsilon is not None:
-                # p, q, p, q, ...: zip takes two of one iterator at a time
-                ends = map(int, findall(pairs)) if pairs else ()
-                return SeifertParams(
-                    int(b), epsilon, int(g), int(t), int(k),
-                    map(int, findall(hplus)) if hplus else (),
-                    map(int, findall(kminus)) if kminus else (),
-                    zip(ends, ends))
+            # p, q, p, q, ...: zip takes two of one iterator at a time
+            ends = map(int, findall(pairs)) if pairs else ()
+            return SeifertParams(
+                int(b), _EPSILONS[eps], int(g), int(t), int(k),
+                map(int, findall(hplus)) if hplus else (),
+                map(int, findall(kminus)) if kminus else (),
+                zip(ends, ends))
     return _scan_params(text)
 
 

@@ -1,8 +1,13 @@
 import gc
 import tracemalloc
+from bisect import bisect_left
 from collections import Counter
+from contextlib import redirect_stdout
+from fractions import Fraction
+from io import StringIO
 from itertools import combinations_with_replacement
 from math import gcd
+from random import Random
 
 import pytest
 
@@ -10,7 +15,8 @@ import seifert as sf
 from seifert.census import _census_heads, _census_walk, _extensions
 from seifert.cli import main
 from support import (census_brute_force, census_by_normalizing,
-                     census_counts_by_shape, cf_coefficients, plain)
+                     census_counts_by_shape, cf_coefficients, plain,
+                     random_move_word)
 
 
 def P(text):
@@ -242,6 +248,91 @@ class TestEnumeration:
 
     def test_agrees_with_raw_grid_sweep_small(self):
         assert dict(sf.enumerate_nonorientable_closed(1)) == census_brute_force(1)
+
+
+BISECT_BUDGET = 16
+DRAWS = 3500
+
+
+@pytest.fixture(scope="class")
+def listing():
+    """The rows of `census gen --cmax 16`, each split at its tabs."""
+    out = StringIO()
+    with redirect_stdout(out):
+        assert main(["census", "gen", "--cmax", str(BISECT_BUDGET)]) == 0
+    return [line.split("\t") for line in out.getvalue().splitlines()[2:]]
+
+
+def random_census_draw(rng, shapes):
+    """A raw closed non-orientable set: a shape weighted by the room its
+    base leaves, b in -3..3, and pairs drawn as continued-fraction
+    coefficient sequences whose sums use up that room, now and then by
+    one or two more than it holds, so that costly pairs come up too."""
+    weights = [room + 1 for _, room in shapes]
+    (shape, room), = rng.choices(shapes, weights)
+    pairs = []
+    while room >= 3 and rng.random() < 0.9:
+        # a composition of s, read as the coefficients a0, a1, ... of p/q
+        s = rng.randrange(2, room + 2)
+        cuts = sorted(rng.sample(range(1, s), rng.randrange(min(s - 1, 4))))
+        coeffs = [hi - lo for lo, hi in zip([0, *cuts], [*cuts, s])]
+        x = Fraction(coeffs[-1])
+        for a in reversed(coeffs[:-1]):
+            x = a + 1 / x
+        pairs.append((x.numerator,
+                      x.denominator + x.numerator * rng.randrange(-3, 4)))
+        room -= s + 1
+    return shape._replace(b=rng.randrange(-3, 4), pairs=tuple(pairs))
+
+
+class TestListingByBisection:
+    # The listing is in strictly increasing text order, so membership is
+    # one bisect: this checks the walk at a budget the normalize-and-fold
+    # reference does not reach, against normalize and upper_bound.
+
+    def test_listing_is_strictly_increasing(self, listing):
+        texts = [row[0] for row in listing]
+        assert len(texts) == 37742
+        assert all(a < b for a, b in zip(texts, texts[1:]))
+
+    def test_every_drawn_form_is_listed_exactly_when_it_fits(self, listing):
+        texts = [row[0] for row in listing]
+        # each admissible closed non-orientable shape with the room its
+        # base 6(1 - chi) + 6t leaves for pairs, each costing S(p,q) + 1
+        shapes = []
+        for eps in sf.Epsilon:
+            for g in range(eps.min_genus, BISECT_BUDGET + 3):
+                for t in range(BISECT_BUDGET + 2):
+                    for k in range(t + 1):
+                        shape = sf.SeifertParams(0, eps, g, t, k)
+                        if sf.validate(shape) or sf.is_orientable(shape):
+                            continue
+                        room = (BISECT_BUDGET - 6 * t
+                                - 6 * (1 - sf.euler_char_base(shape)))
+                        if room >= 0:
+                            shapes.append((shape, room))
+        rng = Random(16)
+        hits = 0
+        for _ in range(DRAWS):
+            raw = random_census_draw(rng, shapes)
+            P = sf.normalize(random_move_word(rng, raw, rng.randrange(1, 8)))
+            assert P == sf.normalize(raw)
+            text, value = sf.format_params(P), sf.upper_bound(P).value
+            i = bisect_left(texts, text)
+            listed = i < len(texts) and texts[i] == text
+            assert listed == (value <= BISECT_BUDGET), (text, value)
+            if listed:
+                assert int(listing[i][1]) == value
+            hits += listed
+        # 2,097 of these draws fit; the rest check that what does not
+        # fit is not listed
+        assert hits >= 2000 and DRAWS - hits >= 1000
+
+    def test_sampled_lines_normalize_to_themselves(self, listing):
+        for text, value, *_ in Random(61).sample(listing, 2000):
+            P = sf.parse_params(text)
+            assert sf.format_params(sf.normalize(P)) == text
+            assert sf.upper_bound(P).value == int(value)
 
 
 CENSUS_TEXT = """\

@@ -145,9 +145,10 @@ class TestBasicCommands:
                              capture_output=True, text=True, check=True,
                              timeout=60).stdout.split()
         assert "seifert.cli" in out
-        # and json, which only the --json paths import
+        # and json, which only the --json paths import, and __future__,
+        # which no module of the package imports
         loaded = ({"dataclasses", "inspect", "ast", "dis", "tokenize", "json",
-                   "typing"} & set(out))
+                   "typing", "__future__"} & set(out))
         assert loaded == set()
 
     def test_one_shot_loads_no_census(self):
@@ -399,7 +400,8 @@ class TestCensusCommands:
                 ("a\t{0;(n1,1,(0,0));(|);}\t1\tregina", "unknown convention"),
         ]:
             table.write_text(good + bad + "\n" + good)
-            for flags in ((), ("--json",)):
+            # --cmax filters graded rows; every row is still read
+            for flags in ((), ("--json",), ("--cmax", "0")):
                 code, out, err = run(capsys, "census", "check",
                                      "--file", str(table), *flags)
                 assert (code, out) == (2, "")

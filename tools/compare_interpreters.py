@@ -49,6 +49,10 @@ COMMANDS = [
     ({}, ("info", "{0;(o,4,(1,1));(1|0);}")),
     ({}, ("--help",)),
     ({}, ("bound", "{0;(N1,1,(0,0));(|);}")),  # a parse error
+    # an eps word outside the eight: parse error at position 4
+    ({}, ("bound", "{0;(o3,1,(0,0));(|);}")),
+    # a unit pair, a negative q and a pair to reflect
+    ({}, ("normalize", "{3;(n1,1,(0,0));(|);((1,2),(5,-7),(3,2))}")),
     ({}, ("census", "gen", "--cmax", "12")),
     ({}, ("census", "gen", "--cmax", "12", "--json")),
     ({}, ("census", "check", "--file", "table.tsv")),

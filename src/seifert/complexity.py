@@ -22,6 +22,7 @@ which takes the fibre-term sum; ``upper_bound`` and the census walk both
 call it.
 """
 from .core import (
+    ORIENTABLE_AWAY_FROM_SE,
     CaseTag,
     ComplexityBound,
     Epsilon,
@@ -79,30 +80,31 @@ def _lens_label(p: int, q: int) -> str:
 def upper_bound(params: SeifertParams) -> ComplexityBound:
     """Upper bound for the complexity, computed on the normalized form."""
     P = normalize(params)
+    b, eps, _, t, _, hplus, kminus, pairs = P
 
-    if not is_closed(P):
+    if hplus or kminus:
         label = _bordered_special(P)
         if label is not None:
             return ComplexityBound(0, CaseTag.BORDERED_SPECIAL_ZERO,
                                    exact=True, label=label)
-        value = P.t + sum(max(cf_sum(p, q) - 3, 0) for p, q in P.pairs)
+        value = t + sum(max(cf_sum(p, q) - 3, 0) for p, q in pairs)
         return ComplexityBound(value, CaseTag.BORDERED_GENERAL)
 
     chi = euler_char_base(P)
-    b, t, r = P.b, P.t, P.r
+    r = len(pairs)
 
     if chi == 2 and t == 0 and r == 0:
         return ComplexityBound(max(b - 3, 0), CaseTag.LENS_B1,
                                label=_lens_label(b, 1))
     if chi == 2 and t == 0 and r == 1:
-        p, q = P.pairs[0]
+        p, q = pairs[0]
         if b > 0:
             return ComplexityBound(max(b + cf_sum(p, q) - 3, 0),
                                    CaseTag.LENS_BPQ,
                                    label=_lens_label(b * p + q, p))
         return ComplexityBound(max(cf_sum(p, q) - 3 - p // q, 0),
                                CaseTag.LENS_QP, label=_lens_label(q, p))
-    if chi == 1 and P.epsilon is Epsilon.N1 and t == 0 and r == 0:
+    if chi == 1 and eps is Epsilon.N1 and t == 0 and r == 0:
         if b == 0:
             return ComplexityBound(1, CaseTag.RP2_X_S1, label="RP2 x S1")
         return ComplexityBound(0, CaseTag.S2_TWIST_S1, exact=True,
@@ -111,8 +113,9 @@ def upper_bound(params: SeifertParams) -> ComplexityBound:
         return ComplexityBound(0, CaseTag.S2_TWIST_S1_REFLECTOR, exact=True,
                                label="S2 x~ S1")
 
-    fibre_terms = sum(cf_sum(p, q) + 1 for p, q in P.pairs)
-    if is_orientable(P):
+    fibre_terms = sum(cf_sum(p, q) + 1 for p, q in pairs)
+    # closed, so orientable exactly when t = 0 and eps is o1 or n2
+    if t == 0 and eps in ORIENTABLE_AWAY_FROM_SE:
         value = max(b - 1 + chi, 0) + 6 * (1 - chi) + fibre_terms
         return ComplexityBound(value, CaseTag.CLOSED_ORIENTABLE_GENERAL)
     return _closed_nonorientable_general(P, fibre_terms)

@@ -61,7 +61,7 @@ class Epsilon(str, Enum):
 
     @property
     def orientable_base(self) -> bool:
-        return self in (Epsilon.O, Epsilon.O1, Epsilon.O2)
+        return self in _ORIENTABLE_BASE
 
     @property
     def min_genus(self) -> int:
@@ -79,6 +79,10 @@ _MIN_GENUS = {
     Epsilon.N4: 3,
 }
 
+_ORIENTABLE_BASE = frozenset((Epsilon.O, Epsilon.O1, Epsilon.O2))
+# the symbols used exactly when k + m- > 0
+_UNDECORATED = frozenset((Epsilon.O, Epsilon.N))
+
 # For these symbols the space minus its exceptional surfaces is
 # orientable: no fibre-reversing curve is available short of a global
 # orientation reversal.
@@ -95,6 +99,12 @@ class SeifertParams(namedtuple("SeifertParams",
     ``kminus``, ``pairs`` and each pair are stored as tuples whatever
     sequences they are given as.  m+, m- and r are the lengths of
     ``hplus``, ``kminus`` and ``pairs`` and are never stored separately.
+
+    ``notation.parse_params`` and ``normal_form.normalize`` skip this
+    coercion, as they run once per row of a census table: they build
+    through ``tuple.__new__`` from fields that they have just made as
+    tuples of ints and of (p, q) tuples, so their fields are exact
+    tuples anyway.
 
     ``_make``, and so ``_replace``, builds through this constructor and
     returns a plain ``SeifertParams`` even from a
@@ -239,28 +249,29 @@ def validate(params: SeifertParams) -> list[str]:
     admissible.  Out-of-range q_j and unreduced b are not violations:
     normalization takes care of them.
     """
-    violations = []
-    for name in ("g", "t", "k"):
-        if getattr(params, name) < 0:
-            violations.append(f"{name} must be non-negative")
-    if any(h < 0 for h in params.hplus):
+    _, eps, g, t, k, hplus, kminus, pairs = params
+    violations = [f"{name} must be non-negative"
+                  for name, value in (("g", g), ("t", t), ("k", k))
+                  if value < 0]
+    if hplus and min(hplus) < 0:
         violations.append("entries of the h-list must be non-negative")
-    if any(kj < 0 for kj in params.kminus):
+    if kminus and min(kminus) < 0:
         violations.append("entries of the k-list must be non-negative")
-    for p, q in params.pairs:
+    for p, q in pairs:
         if p <= 0:
             violations.append(f"pair ({p},{q}): p must be positive")
         elif gcd(p, q) != 1:
             violations.append(f"pair ({p},{q}) is not coprime")
-    if params.k > params.t:
-        violations.append(f"k = {params.k} exceeds t = {params.t}")
-    if (params.k + params.m_minus) % 2 != 0:
+    if k > t:
+        violations.append(f"k = {k} exceeds t = {t}")
+    minus = k + len(kminus)
+    if minus % 2 != 0:
         violations.append("k + m- is odd")
-    eps = params.epsilon
-    if (eps in (Epsilon.O, Epsilon.N)) != (params.k + params.m_minus > 0):
+    if (eps in _UNDECORATED) != (minus > 0):
         violations.append("epsilon is o or n exactly when k + m- > 0")
-    if 0 <= params.g < eps.min_genus:
-        violations.append(f"{eps.value} requires g >= {eps.min_genus}")
+    min_genus = _MIN_GENUS[eps]
+    if 0 <= g < min_genus:
+        violations.append(f"{eps._value_} requires g >= {min_genus}")
     return violations
 
 

@@ -116,7 +116,9 @@ def normalize(params: SeifertParams) -> NormalizedSeifertParams:
     change the output.
 
     A ``NormalizedSeifertParams`` is canonical by construction and is
-    returned unchanged.
+    returned unchanged.  The result is built through ``tuple.__new__``,
+    skipping the constructor's coercion: its boundary lists and pairs
+    are tuples made here, and the rest are the input's own fields.
     """
     if isinstance(params, NormalizedSeifertParams):
         return params
@@ -124,11 +126,10 @@ def normalize(params: SeifertParams) -> NormalizedSeifertParams:
     if problems:
         raise ValueError("invalid parameters: " + "; ".join(problems))
 
-    eps = params.epsilon
+    b, eps, g, t, k, hplus, kminus, raw_pairs = params
     mirror_only = eps in ORIENTABLE_AWAY_FROM_SE
-    b = params.b
     pairs = []
-    for p, q in params.pairs:
+    for p, q in raw_pairs:
         b += q // p
         q %= p
         if 2 * q > p and not mirror_only:
@@ -139,7 +140,7 @@ def normalize(params: SeifertParams) -> NormalizedSeifertParams:
     pairs.sort()
 
     r = len(pairs)
-    if params.t + params.m_plus + params.m_minus > 0:
+    if t or hplus or kminus:
         b = 0
         if mirror_only:
             pairs = _mirror_min(pairs)
@@ -156,16 +157,9 @@ def normalize(params: SeifertParams) -> NormalizedSeifertParams:
         elif 2 * b == -r:
             pairs = _mirror_min(pairs)
 
-    return NormalizedSeifertParams(
-        b=b,
-        epsilon=eps,
-        g=params.g,
-        t=params.t,
-        k=params.k,
-        hplus=tuple(sorted(params.hplus)),
-        kminus=tuple(sorted(params.kminus)),
-        pairs=tuple(pairs),
-    )
+    return tuple.__new__(NormalizedSeifertParams, (
+        b, eps, g, t, k, tuple(sorted(hplus)), tuple(sorted(kminus)),
+        tuple(pairs)))
 
 
 def equivalent(a: SeifertParams, b: SeifertParams) -> bool:

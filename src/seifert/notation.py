@@ -162,11 +162,12 @@ def parse_params(text: str) -> SeifertParams:
             b, eps, g, t, k, hplus, kminus, pairs = match.groups()
             # p, q, p, q, ...: zip takes two of one iterator at a time
             ends = map(int, findall(pairs)) if pairs else ()
-            return SeifertParams(
+            # each field is made here as an exact tuple: no coercion
+            return tuple.__new__(SeifertParams, (
                 int(b), _EPSILONS[eps], int(g), int(t), int(k),
-                map(int, findall(hplus)) if hplus else (),
-                map(int, findall(kminus)) if kminus else (),
-                zip(ends, ends))
+                tuple(map(int, findall(hplus))) if hplus else (),
+                tuple(map(int, findall(kminus))) if kminus else (),
+                tuple(zip(ends, ends))))
     return _scan_params(text)
 
 
@@ -202,10 +203,11 @@ def _scan_params(text: str) -> SeifertParams:
 
 def format_params(params: SeifertParams) -> str:
     """Canonical bracket spelling: no whitespace, empty pair list omitted."""
-    hplus = ",".join(str(h) for h in params.hplus)
-    kminus = ",".join(str(kj) for kj in params.kminus)
-    pairs = ""
-    if params.pairs:
-        pairs = "(" + ",".join([f"({p},{q})" for p, q in params.pairs]) + ")"
-    return (f"{{{params.b};({params.epsilon.value},{params.g},"
-            f"({params.t},{params.k}));({hplus}|{kminus});{pairs}}}")
+    b, eps, g, t, k, hplus, kminus, pairs = params
+    hplus = ",".join(map(str, hplus))
+    kminus = ",".join(map(str, kminus))
+    pairs = ("(" + ",".join([f"({p},{q})" for p, q in pairs]) + ")"
+             if pairs else "")
+    # _value_: the value property of an Enum costs more than a lookup
+    return (f"{{{b};({eps._value_},{g},({t},{k}));({hplus}|{kminus});"
+            f"{pairs}}}")

@@ -221,6 +221,69 @@ def normal_form_violations(P: sf.SeifertParams) -> list[str]:
     return v
 
 
+# The bordered spaces of complexity 0, by canonical spelling: the two
+# fibrations each of N x S1 and N x~ S1, the solid torus D2 x S1 and the
+# solid Klein bottle.  Every one-pair fibration of the solid torus is the
+# solid torus too; it is the spelling SOLID_TORUS_PAIRS + "(p,q))}".
+BORDERED_ZERO = (
+    "{0;(n1,1,(0,0));(0|);}", "{0;(o1,0,(1,0));(0|);}",
+    "{0;(o1,0,(0,0));(1|);((2,1))}", "{0;(o,0,(1,1));(|0);}",
+    "{0;(o1,0,(0,0));(0|);}", "{0;(o1,0,(0,0));(1|);}",
+)
+SOLID_TORUS_PAIRS = "{0;(o1,0,(0,0));(0|);("
+
+
+def cf_total(p: int, q: int) -> int:
+    """S(p, q), the sum of the continued fraction coefficients of p/q."""
+    return sum(cf_coefficients(p, q))
+
+
+def reference_bound(P: sf.SeifertParams) -> tuple[int, str]:
+    """Value and case tag of the bound of a canonical P, read off its raw
+    fields by the formulas of the ``complexity`` module docstring:
+
+        t + sum_j max{S(p_j,q_j) - 3, 0}                       (bordered)
+        max{b - 1 + chi, 0} + 6(1 - chi) + sum_j (S(p_j,q_j) + 1)
+                                                   (closed orientable)
+        6(1 - chi) + 6t + sum_j (S(p_j,q_j) + 1)   (closed non-orientable)
+
+    after the recognized spaces: the bordered spaces of complexity 0;
+    the lens spaces, {b;(o1,0,(0,0));(|);} = L(b, 1) and
+    {b;(o1,0,(0,0));(|);((p,q))} = L(bp + q, p), with their classical
+    bound max{S(n, m) - 3, 0} for L(n, m), m taken mod n (0 for the
+    sphere L(1, 0)); the two fibrations over the projective plane; and
+    the reflector-circle fibration over the disk.  It calls none of
+    ``upper_bound``, ``euler_char_base``, ``is_closed`` and
+    ``is_orientable``."""
+    b, eps, g, t, _, hplus, kminus, pairs = P
+    word, r = eps.value, len(pairs)
+    if hplus or kminus:
+        text = sf.format_params(P)
+        if text in BORDERED_ZERO or (
+                r == 1 and text.startswith(SOLID_TORUS_PAIRS)):
+            return 0, "BorderedSpecialZero"
+        return (t + sum(max(cf_total(p, q) - 3, 0) for p, q in pairs),
+                "BorderedGeneral")
+    chi = 2 - 2 * g if word.startswith("o") else 2 - g
+    orientable = t == 0 and word in ("o1", "n2")
+    if orientable and chi == 2 and r <= 1:
+        p, q = pairs[0] if pairs else (1, 0)
+        n = b * p + q
+        m = p % n if n else 1  # L(0, 1) is S2 x S1
+        value = max(cf_total(n, m) - 3, 0) if m else 0
+        return value, ("Lens_b1" if not pairs else
+                       "Lens_bpq" if b > 0 else "Lens_qp")
+    if chi == 1 and word == "n1" and t == 0 and r == 0:
+        return (1, "RP2xS1") if b == 0 else (0, "S2twistS1")
+    if chi == 2 and t == 1 and r == 0:
+        return 0, "S2twistS1_reflector"
+    fibres = sum(cf_total(p, q) + 1 for p, q in pairs)
+    if orientable:
+        return (max(b - 1 + chi, 0) + 6 * (1 - chi) + fibres,
+                "ClosedOrientableGeneral")
+    return 6 * (1 - chi) + 6 * t + fibres, "ClosedNonorientableGeneral"
+
+
 def census_brute_force(c_max: int) -> dict:
     """Raw-grid sweep: enumerate generous raw parameter grids, normalize,
     deduplicate, and keep the closed non-orientable forms whose bound

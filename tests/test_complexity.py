@@ -5,7 +5,8 @@ from random import Random
 import pytest
 
 import seifert as sf
-from support import random_move_word, random_valid
+from support import (PAPER_PARAM_STRINGS, random_move_word, random_valid,
+                     reference_bound)
 
 
 def P(text):
@@ -214,3 +215,35 @@ class TestSharperFamilyNote:
         assert sf.sharper_bound_note(P("{0;(n1,2,(0,0));(|);((2,1))}")) is None
         assert sf.sharper_bound_note(
             P("{-1;(o1,0,(0,0));(|);((3,1),(3,1),(4,1))}")) is None
+
+
+class TestBoundAgainstReference:
+    """upper_bound against support.reference_bound, which reads the
+    formulas of the complexity docstring off the raw fields."""
+
+    def test_census_entries(self):
+        for Q, listed in sf.enumerate_nonorientable_closed(12):
+            expected = reference_bound(Q)
+            assert (listed.value, listed.case_tag.value) == expected
+            bound = sf.upper_bound(Q)
+            assert (bound.value, bound.case_tag.value) == expected
+
+    def test_random_sets_over_all_eps(self):
+        rng = Random(53)
+        # the lens spaces, which the draws reach only a few times
+        lenses = ["{0;(o1,0,(0,0));(|);}", "{1;(o1,0,(0,0));(|);}",
+                  "{6;(o1,0,(0,0));(|);}", "{0;(o1,0,(0,0));(|);((7,1))}",
+                  "{0;(o1,0,(0,0));(|);((7,2))}",
+                  "{3;(o1,0,(0,0));(|);((8,3))}"]
+        sets = [sf.normalize(P(text))
+                for text in PAPER_PARAM_STRINGS + lenses]
+        sets += [sf.normalize(random_valid(rng)) for _ in range(10000)]
+        tags = set()
+        for Q in sets:
+            bound = sf.upper_bound(Q)
+            assert ((bound.value, bound.case_tag.value)
+                    == reference_bound(Q)), sf.format_params(Q)
+            tags.add(bound.case_tag)
+        # every branch of the dispatch is reached
+        assert tags == set(sf.CaseTag)
+        assert {Q.epsilon for Q in sets} == set(sf.Epsilon)

@@ -175,6 +175,40 @@ def test_parse_answers_are_pinned():
     assert digest == PINNED_ANSWERS
 
 
+class TestExactTuples:
+    """parse_params and normalize build their sets through tuple.__new__,
+    with no coercion of the fields; the fields must still be exact
+    tuples, so that the sets equal and hash like coerced ones."""
+
+    @staticmethod
+    def assert_exact(params):
+        hplus, kminus, pairs = params[5:]
+        assert all(type(field) is tuple
+                   for field in (hplus, kminus, pairs, *pairs)), params
+        coerced = sf.SeifertParams(*params)
+        assert params == coerced and hash(params) == hash(coerced)
+
+    def test_parsed_and_normalized_sets(self):
+        rng = Random(59)
+        corpus = pinned_parse_corpus()
+        for _ in range(2000):
+            params = random_valid(rng)
+            if rng.random() < 0.5:
+                params = sf.insert_unit_pair(params, rng.randrange(-3, 4))
+            corpus.append(respaced(rng, sf.format_params(params)))
+        normalized = 0
+        for text in corpus:
+            try:
+                params = sf.parse_params(text)
+            except sf.ParseError:
+                continue
+            self.assert_exact(params)
+            if not sf.validate(params):
+                self.assert_exact(sf.normalize(params))
+                normalized += 1
+        assert normalized > 7000
+
+
 class TestFastPath:
     def test_well_formed_text_never_reaches_the_scanner(self, monkeypatch):
         # a change to the pattern that refuses good input would still

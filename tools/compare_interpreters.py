@@ -53,6 +53,11 @@ COMMANDS = [
     ({}, ("bound", "{0;(o3,1,(0,0));(|);}")),
     # a unit pair, a negative q and a pair to reflect
     ({}, ("normalize", "{3;(n1,1,(0,0));(|);((1,2),(5,-7),(3,2))}")),
+    # three branches of upper_bound: Lens_bpq (L(7,2)), BorderedGeneral
+    # (3) and ClosedNonorientableGeneral (20)
+    ({}, ("bound", "{2;(o1,0,(0,0));(|);((3,1))}")),
+    ({}, ("bound", "{0;(o1,1,(0,0));(0|);((5,2),(7,3))}")),
+    ({}, ("bound", "{0;(n3,2,(1,0));(|);((2,1),(5,2))}")),
     ({}, ("census", "gen", "--cmax", "12")),
     ({}, ("census", "gen", "--cmax", "12", "--json")),
     ({}, ("census", "check", "--file", "table.tsv")),

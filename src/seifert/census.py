@@ -432,8 +432,8 @@ def compare(records: Iterable[CensusRecord],
         violations=tally.summary["violations"], notes=tally.notes())
 
 
-# The text of the census commands; cli parses the arguments, opens the
-# files and writes these chunks.
+# The text of the census commands; cli parses the arguments, opens
+# --out and writes these chunks.
 
 def _entry_rows(c_max: int, heads: list[tuple], prefix: str,
                columns: Callable[[ComplexityBound], str]) -> Iterator[str]:
@@ -491,8 +491,9 @@ def _census_lines(c_max: int, as_json: bool) -> Iterator[str]:
 
 
 def _utf8_lines(handle: Iterable[str]) -> Iterator[str]:
-    # cli reads the file with errors="surrogateescape", which turns each
-    # undecodable byte into a lone surrogate; the first one is an error.
+    # _check_report opens the file with errors="surrogateescape", which
+    # turns each undecodable byte into a lone surrogate; the first one
+    # is an error.
     for lineno, line in enumerate(handle, start=1):
         try:
             line.encode("utf-8")
@@ -503,10 +504,10 @@ def _utf8_lines(handle: Iterable[str]) -> Iterator[str]:
         yield line
 
 
-def _check_report(handle: Iterable[str], c_max: int | None,
+def _check_report(path: str, c_max: int | None,
                   as_json: bool) -> tuple[int, list[str]]:
     # The number of violations and the census check report, text or
-    # JSON, of the table read from handle.  Each row is graded and
+    # JSON, of the table in the file at path.  Each row is graded and
     # spelled as it is read, and only the text of the report is kept;
     # it is returned after the last row, so a malformed row leaves
     # stdout empty.
@@ -515,26 +516,27 @@ def _check_report(handle: Iterable[str], c_max: int | None,
     rows: list[str] = []
     overestimated: list[str] = []  # the overestimate lines of the text
     tally = _Tally()
-    for row in _graded(_records(_utf8_lines(handle)), c_max):
-        name, bound, status = row.name, row.bound, row.status
-        form = format_params(row.normalized)
-        if tally.add(row, form) == "overestimates" and not as_json:
-            overestimated.append(
-                f"overestimate: {name} [{bound.case_tag.value}] {status}\n")
-        if as_json:
-            # the row as json.dumps(doc, indent=2) lays it out in the
-            # rows of doc, with the text before it
-            rows.append(
-                (",\n" if rows else "[\n")
-                + f'    {{\n      "name": {dumps(name)},\n'
-                f'      "normalized": {dumps(form)},\n'
-                f'      "recorded": {row.recorded},\n'
-                '      "bound": {\n'
-                + _json_bound(bound, "        ")
-                + f'\n      }},\n      "status": {dumps(status)}\n    }}')
-        else:
-            rows.append(f"{name}\t{form}\trecorded={row.recorded}\t"
-                        f"bound={bound.value}\t{status}\n")
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        for row in _graded(_records(_utf8_lines(handle)), c_max):
+            name, bound, status = row.name, row.bound, row.status
+            form = format_params(row.normalized)
+            if tally.add(row, form) == "overestimates" and not as_json:
+                overestimated.append(f"overestimate: {name} "
+                                     f"[{bound.case_tag.value}] {status}\n")
+            if as_json:
+                # the row as json.dumps(doc, indent=2) lays it out in the
+                # rows of doc, with the text before it
+                rows.append(
+                    (",\n" if rows else "[\n")
+                    + f'    {{\n      "name": {dumps(name)},\n'
+                    f'      "normalized": {dumps(form)},\n'
+                    f'      "recorded": {row.recorded},\n'
+                    '      "bound": {\n'
+                    + _json_bound(bound, "        ")
+                    + f'\n      }},\n      "status": {dumps(status)}\n    }}')
+            else:
+                rows.append(f"{name}\t{form}\trecorded={row.recorded}\t"
+                            f"bound={bound.value}\t{status}\n")
     summary, notes = tally.summary, tally.notes()
     if as_json:
         # the rest of doc, after its rows

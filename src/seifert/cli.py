@@ -10,9 +10,10 @@ output of its own; ``main`` alone writes the text, to stdout or to
 ``--out``, and reports a failed write as ``cannot write ...``.  The
 help text of ``--help`` is written the same way.
 
-This module parses the arguments, opens the files, maps errors to exit
-codes and writes.  The text of the census listing and of the census
-check report is spelled in ``census``.  ``census``, like ``json`` on the
+This module parses the arguments, opens the ``--out`` file, maps errors
+to exit codes and writes.  The text of the census listing and of the
+census check report is spelled in ``census``, which also opens and reads
+the table that ``census check`` grades.  ``census``, like ``json`` on the
 ``--json`` paths, is imported on first use, by the two census commands,
 so a one-shot command neither loads nor compiles it.
 
@@ -215,10 +216,8 @@ def _cmd_census_check(args) -> tuple[int, list[str]]:
     from . import census
 
     try:
-        with open(args.file, "r", encoding="utf-8",
-                  errors="surrogateescape") as handle:
-            violations, chunks = census._check_report(handle, args.cmax,
-                                                      args.json)
+        violations, chunks = census._check_report(args.file, args.cmax,
+                                                  args.json)
     except OSError as exc:
         raise _CliError(EXIT_USAGE, f"cannot read {args.file}: {exc}") from exc
     except census.CensusFormatError as exc:

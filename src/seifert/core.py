@@ -31,6 +31,7 @@ changed copy, which for a parameter set is always a plain, raw
 from collections import namedtuple
 from enum import Enum
 from math import gcd
+from operator import attrgetter
 
 __all__ = [
     "Epsilon", "ORIENTABLE_AWAY_FROM_SE", "SeifertParams",
@@ -44,42 +45,32 @@ __all__ = [
 class Epsilon(str, Enum):
     """Bundle-type symbol of the space away from its exceptional surfaces.
 
-    ``o``/``o1``/``o2`` have orientable base, the ``n`` symbols a
-    non-orientable one.  The undecorated ``o`` and ``n`` are used exactly
-    when some boundary curve of the base reverses the fibre orientation,
-    i.e. when k + m- > 0.
+    Each member is its row of the paper's table: the word, the least
+    genus of the base surface (``min_genus``) and whether the base is
+    orientable (``orientable_base``).  The undecorated ``o`` and ``n``
+    are used exactly when some boundary curve of the base reverses the
+    fibre orientation, i.e. when k + m- > 0.
     """
 
-    O = "o"
-    O1 = "o1"
-    O2 = "o2"
-    N = "n"
-    N1 = "n1"
-    N2 = "n2"
-    N3 = "n3"
-    N4 = "n4"
+    O = "o", 0, True
+    O1 = "o1", 0, True
+    O2 = "o2", 1, True
+    N = "n", 1, False
+    N1 = "n1", 1, False
+    N2 = "n2", 1, False
+    N3 = "n3", 2, False
+    N4 = "n4", 3, False
 
-    @property
-    def orientable_base(self) -> bool:
-        return self in _ORIENTABLE_BASE
+    def __new__(cls, word: str, min_genus: int, orientable_base: bool):
+        member = str.__new__(cls, word)
+        member._value_ = word
+        member._min_genus, member._orientable_base = min_genus, orientable_base
+        return member
 
-    @property
-    def min_genus(self) -> int:
-        return _MIN_GENUS[self]
+    min_genus = property(attrgetter("_min_genus"))
+    orientable_base = property(attrgetter("_orientable_base"))
 
 
-_MIN_GENUS = {
-    Epsilon.O: 0,
-    Epsilon.O1: 0,
-    Epsilon.O2: 1,
-    Epsilon.N: 1,
-    Epsilon.N1: 1,
-    Epsilon.N2: 1,
-    Epsilon.N3: 2,
-    Epsilon.N4: 3,
-}
-
-_ORIENTABLE_BASE = frozenset((Epsilon.O, Epsilon.O1, Epsilon.O2))
 # the symbols used exactly when k + m- > 0
 _UNDECORATED = frozenset((Epsilon.O, Epsilon.N))
 
@@ -269,7 +260,7 @@ def validate(params: SeifertParams) -> list[str]:
         violations.append("k + m- is odd")
     if (eps in _UNDECORATED) != (minus > 0):
         violations.append("epsilon is o or n exactly when k + m- > 0")
-    min_genus = _MIN_GENUS[eps]
+    min_genus = eps.min_genus
     if 0 <= g < min_genus:
         violations.append(f"{eps._value_} requires g >= {min_genus}")
     return violations

@@ -1,3 +1,4 @@
+import copy
 import pickle
 from math import gcd
 from random import Random
@@ -6,6 +7,76 @@ import pytest
 
 import seifert as sf
 from support import PAPER_PARAM_STRINGS, cf_coefficients
+
+
+# The paper's table of the eight bundle symbols: member name, word,
+# least genus of the base and whether the base is orientable.
+EPSILON_TABLE = [
+    ("O", "o", 0, True),
+    ("O1", "o1", 0, True),
+    ("O2", "o2", 1, True),
+    ("N", "n", 1, False),
+    ("N1", "n1", 1, False),
+    ("N2", "n2", 1, False),
+    ("N3", "n3", 2, False),
+    ("N4", "n4", 3, False),
+]
+
+
+@pytest.mark.parametrize("name,word,min_genus,orientable_base",
+                         EPSILON_TABLE, ids=[row[1] for row in EPSILON_TABLE])
+class TestEpsilon:
+    """The public behaviour of each member.  format() is left out: it
+    gives the word on 3.10 and ``Epsilon.O1`` from 3.11 on."""
+
+    def test_the_word_looks_up_the_member(self, name, word, min_genus,
+                                          orientable_base):
+        member = getattr(sf.Epsilon, name)
+        assert sf.Epsilon(word) is member
+        assert member.value == word
+        assert member.name == name
+
+    def test_repr_and_str(self, name, word, min_genus, orientable_base):
+        member = sf.Epsilon(word)
+        assert repr(member) == f"<Epsilon.{name}: {word!r}>"
+        assert str(member) == f"Epsilon.{name}"
+
+    def test_equals_and_hashes_like_its_word(self, name, word, min_genus,
+                                             orientable_base):
+        member = sf.Epsilon(word)
+        assert member == word and word == member
+        assert hash(member) == hash(word)
+        assert {word: 1}[member] == 1
+
+    def test_copies_are_the_member(self, name, word, min_genus,
+                                   orientable_base):
+        member = sf.Epsilon(word)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(member, protocol)) is member
+        assert copy.copy(member) is member
+        assert copy.deepcopy(member) is member
+
+    def test_facts_match_the_paper(self, name, word, min_genus,
+                                   orientable_base):
+        member = sf.Epsilon(word)
+        assert member.min_genus == min_genus
+        assert type(member.min_genus) is int
+        assert member.orientable_base is orientable_base
+
+    def test_facts_are_read_only(self, name, word, min_genus,
+                                 orientable_base):
+        member = sf.Epsilon(word)
+        with pytest.raises(AttributeError):
+            member.min_genus = min_genus + 1
+        with pytest.raises(AttributeError):
+            member.orientable_base = not orientable_base
+        assert member.min_genus == min_genus
+        assert member.orientable_base is orientable_base
+
+
+def test_epsilon_keeps_the_paper_order():
+    assert [member.value for member in sf.Epsilon] == [
+        row[1] for row in EPSILON_TABLE]
 
 
 class TestCfSum:

@@ -58,6 +58,12 @@ COMMANDS = [
     ({}, ("bound", "{2;(o1,0,(0,0));(|);((3,1))}")),
     ({}, ("bound", "{0;(o1,1,(0,0));(0|);((5,2),(7,3))}")),
     ({}, ("bound", "{0;(n3,2,(1,0));(|);((2,1),(5,2))}")),
+    # the least genus and base orientability of an eps symbol: info
+    # prints both, and a genus below the least one is refused (exit 2)
+    ({}, ("info", "--json", "{0;(o2,1,(0,0));(|);((3,1))}")),
+    ({}, ("info", "{0;(n3,2,(1,0));(|);}")),
+    ({}, ("info", "{1;(n4,3,(0,0));(|);((2,1))}")),
+    ({}, ("bound", "{0;(n4,2,(0,0));(|);}")),
     ({}, ("census", "gen", "--cmax", "12")),
     ({}, ("census", "gen", "--cmax", "12", "--json")),
     ({}, ("census", "check", "--file", "table.tsv")),

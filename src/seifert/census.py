@@ -71,13 +71,17 @@ with ``convention`` one of ``normalized`` or ``burton``; ``#`` comment
 lines and blank lines are skipped, and so is a byte-order mark at the
 start of the first line.  ``compare`` then grades the bound against each
 recorded complexity.  Records, rows and reports are immutable named
-tuples, like the records of ``core``.  ``ingest_census`` and ``compare``
-collect the generators ``_records`` and ``_graded``, which yield one
-record and one graded row at a time, so a caller that keeps less than
-every row can grade a table while reading it.  ``compare`` and
-``census check`` fold the graded rows through one tally, ``_Tally``,
-which counts them by status and notes each name recorded with more
-than one fibration.
+tuples, like the records of ``core``.  One function reads a row,
+``_read_row``, which checks its fields and returns them with its
+canonical form, and one grades it, ``_grade``, which returns its bound
+and status.  ``ingest_census`` and ``compare`` wrap what they return in
+records and graded rows; ``compare`` normalizes each record's params
+first, as a record built by hand may hold raw ones.  ``census check``
+reads, grades and spells each row of its file in one pass, after the
+UTF-8 check of its line, and builds no record or row: it keeps only the
+text of the report.  ``compare`` and ``census check`` fold the graded
+rows through one tally, ``_Tally``, which counts them by status and
+notes each name recorded with more than one fibration.
 
 The text of ``seifert census gen`` and ``seifert census check`` is
 spelled here too, by ``_census_lines`` and ``_check_report``, as chunks
@@ -313,45 +317,53 @@ class CensusFormatError(ValueError):
         self.lineno = lineno
 
 
+def _read_row(lineno: int, line: str) -> tuple | None:
+    # (name, canonical form, complexity, convention) of the census row
+    # on line lineno, None for a blank or comment line
+    line = line.rstrip("\r\n")
+    if lineno == 1:
+        line = line.removeprefix("\ufeff")
+    stripped = line.lstrip()
+    if not stripped or stripped[0] == "#":
+        return None
+    fields = line.split("\t")
+    if len(fields) != 4:
+        raise CensusFormatError(
+            lineno, f"expected 4 tab-separated fields, found {len(fields)}")
+    name, params_text, complexity_text, convention = fields
+    try:
+        params = normalize(parse_params(params_text))
+    except ValueError as exc:
+        raise CensusFormatError(lineno, str(exc)) from exc
+    try:
+        # an optional "-" and ASCII digits only: int() would also read
+        # "+", padding, "_" separators and the digits of other scripts
+        digits = complexity_text.removeprefix("-")
+        if not (digits.isascii() and digits.isdigit()):
+            raise ValueError
+        complexity = int(complexity_text)
+    except ValueError:  # also more digits than int() reads
+        raise CensusFormatError(
+            lineno, f"complexity is not an integer: {complexity_text!r}") from None
+    if complexity < 0:
+        raise CensusFormatError(lineno, "complexity must be non-negative")
+    if convention not in _CONVENTIONS:
+        raise CensusFormatError(
+            lineno,
+            f"unknown convention {convention!r}; expected one of "
+            + ", ".join(_CONVENTIONS))
+    return name, params, complexity, convention
+
+
 def _records(source: Iterable[str] | str) -> Iterator[CensusRecord]:
-    # the records of a census table, each parsed and normalized as its
-    # line is read
+    # the records of a census table, each read as its line is
     if isinstance(source, str):
         # split where a file read in text mode would: at \n, \r\n and \r
         source = io.StringIO(source, newline=None)
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.rstrip("\r\n")
-        if lineno == 1:
-            line = line.removeprefix("\ufeff")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise CensusFormatError(
-                lineno, f"expected 4 tab-separated fields, found {len(fields)}")
-        name, params_text, complexity_text, convention = fields
-        try:
-            params = normalize(parse_params(params_text))
-        except ValueError as exc:
-            raise CensusFormatError(lineno, str(exc)) from exc
-        try:
-            # an optional "-" and ASCII digits only: int() would also read
-            # "+", padding, "_" separators and the digits of other scripts
-            digits = complexity_text.removeprefix("-")
-            if not (digits.isascii() and digits.isdigit()):
-                raise ValueError
-            complexity = int(complexity_text)
-        except ValueError:  # also more digits than int() reads
-            raise CensusFormatError(
-                lineno, f"complexity is not an integer: {complexity_text!r}") from None
-        if complexity < 0:
-            raise CensusFormatError(lineno, "complexity must be non-negative")
-        if convention not in _CONVENTIONS:
-            raise CensusFormatError(
-                lineno,
-                f"unknown convention {convention!r}; expected one of "
-                + ", ".join(_CONVENTIONS))
-        yield CensusRecord(name, params, complexity, convention)
+    for lineno, line in enumerate(source, start=1):
+        row = _read_row(lineno, line)
+        if row is not None:
+            yield CensusRecord._make(row)
 
 
 def ingest_census(source: Iterable[str] | str) -> list[CensusRecord]:
@@ -362,23 +374,28 @@ def ingest_census(source: Iterable[str] | str) -> list[CensusRecord]:
     return list(_records(source))
 
 
+def _grade(P: NormalizedSeifertParams,
+           recorded: int) -> tuple[ComplexityBound, str]:
+    # the bound of the canonical form P and the status of a row that
+    # records complexity recorded for it
+    bound = upper_bound(P)
+    delta = bound.value - recorded
+    if delta == 0:
+        return bound, "sharp"
+    if delta > 0:
+        return bound, f"overestimate(by {delta})"
+    return bound, "violation"
+
+
 def _graded(records: Iterable[CensusRecord],
             c_max: int | None) -> Iterator[ComparisonRow]:
     # the graded row of each record with complexity <= c_max (of every
-    # record when c_max is None), in the order of the records
-    for record in records:
-        if c_max is not None and record.complexity > c_max:
-            continue
-        P = normalize(record.params)
-        bound = upper_bound(P)
-        delta = bound.value - record.complexity
-        if delta == 0:
-            status = "sharp"
-        elif delta > 0:
-            status = f"overestimate(by {delta})"
-        else:
-            status = "violation"
-        yield ComparisonRow(record.name, P, record.complexity, bound, status)
+    # record when c_max is None), in the order of the records; a record
+    # built by hand may hold raw params, so each is normalized
+    for name, params, recorded, _ in records:
+        if c_max is None or recorded <= c_max:
+            P = normalize(params)
+            yield ComparisonRow(name, P, recorded, *_grade(P, recorded))
 
 
 # the summary key of each status; every other status is an overestimate
@@ -388,9 +405,9 @@ _SUMMARY_KEYS = {"sharp": "sharp", "violation": "violations"}
 class _Tally:
     """The graded rows of a table counted by status, and the distinct
     fibrations recorded under each name, kept only for the names that
-    record more than one.  A fibration is any value that is equal
-    exactly when the fibrations are: a canonical form, or its printed
-    text."""
+    record more than one.  ``add`` takes a row as its name, status and
+    fibration.  A fibration is any value that is equal exactly when the
+    fibrations are: a canonical form, or its printed text."""
 
     def __init__(self):
         # the counts, in the order the report prints them
@@ -399,15 +416,15 @@ class _Tally:
         self.first = {}     # name -> its first fibration
         self.repeated = {}  # name -> its fibrations, if two or more
 
-    def add(self, row: ComparisonRow, fibration) -> str:
-        """Count row, whose fibration is given, and return its summary
-        key."""
-        key = _SUMMARY_KEYS.get(row.status, "overestimates")
+    def add(self, name: str, status: str, fibration) -> str:
+        """Count a graded row by its name, status and fibration, and
+        return its summary key."""
+        key = _SUMMARY_KEYS.get(status, "overestimates")
         self.summary["rows"] += 1
         self.summary[key] += 1
-        first = self.first.setdefault(row.name, fibration)
+        first = self.first.setdefault(name, fibration)
         if first != fibration:
-            self.repeated.setdefault(row.name, {first}).add(fibration)
+            self.repeated.setdefault(name, {first}).add(fibration)
         return key
 
     def notes(self) -> tuple[str, ...]:
@@ -424,7 +441,7 @@ def compare(records: Iterable[CensusRecord],
     rows, overestimates = [], []
     for row in _graded(records, c_max):
         rows.append(row)
-        if tally.add(row, row.normalized) == "overestimates":
+        if tally.add(row.name, row.status, row.normalized) == "overestimates":
             overestimates.append(row)
     return ComparisonReport(
         rows=tuple(rows), sharp=tally.summary["sharp"],
@@ -490,37 +507,38 @@ def _census_lines(c_max: int, as_json: bool) -> Iterator[str]:
                        f"{bound.label or '-'}\n"))
 
 
-def _utf8_lines(handle: Iterable[str]) -> Iterator[str]:
-    # _check_report opens the file with errors="surrogateescape", which
-    # turns each undecodable byte into a lone surrogate; the first one
-    # is an error.
-    for lineno, line in enumerate(handle, start=1):
-        try:
-            line.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            byte = ord(line[exc.start]) - 0xDC00
-            raise CensusFormatError(
-                lineno, f"byte 0x{byte:02x} is not valid UTF-8") from None
-        yield line
-
-
 def _check_report(path: str, c_max: int | None,
                   as_json: bool) -> tuple[int, list[str]]:
     # The number of violations and the census check report, text or
-    # JSON, of the table in the file at path.  Each row is graded and
-    # spelled as it is read, and only the text of the report is kept;
-    # it is returned after the last row, so a malformed row leaves
-    # stdout empty.
+    # JSON, of the table in the file at path.  Each row is read, graded
+    # and spelled in one pass, as its line is read, and only the text of
+    # the report is kept; it is returned after the last row, so a
+    # malformed row leaves stdout empty.
     if as_json:
         from json import dumps
     rows: list[str] = []
     overestimated: list[str] = []  # the overestimate lines of the text
     tally = _Tally()
+    add = tally.add
+    # errors="surrogateescape" turns each undecodable byte into a lone
+    # surrogate; the first one is an error
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
-        for row in _graded(_records(_utf8_lines(handle)), c_max):
-            name, bound, status = row.name, row.bound, row.status
-            form = format_params(row.normalized)
-            if tally.add(row, form) == "overestimates" and not as_json:
+        for lineno, line in enumerate(handle, 1):
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                byte = ord(line[exc.start]) - 0xDC00
+                raise CensusFormatError(
+                    lineno, f"byte 0x{byte:02x} is not valid UTF-8") from None
+            row = _read_row(lineno, line)
+            if row is None:
+                continue
+            name, P, recorded, _ = row
+            if c_max is not None and recorded > c_max:
+                continue
+            bound, status = _grade(P, recorded)
+            form = format_params(P)
+            if add(name, status, form) == "overestimates" and not as_json:
                 overestimated.append(f"overestimate: {name} "
                                      f"[{bound.case_tag.value}] {status}\n")
             if as_json:
@@ -530,12 +548,12 @@ def _check_report(path: str, c_max: int | None,
                     (",\n" if rows else "[\n")
                     + f'    {{\n      "name": {dumps(name)},\n'
                     f'      "normalized": {dumps(form)},\n'
-                    f'      "recorded": {row.recorded},\n'
+                    f'      "recorded": {recorded},\n'
                     '      "bound": {\n'
                     + _json_bound(bound, "        ")
                     + f'\n      }},\n      "status": {dumps(status)}\n    }}')
             else:
-                rows.append(f"{name}\t{form}\trecorded={row.recorded}\t"
+                rows.append(f"{name}\t{form}\trecorded={recorded}\t"
                             f"bound={bound.value}\t{status}\n")
     summary, notes = tally.summary, tally.notes()
     if as_json:

@@ -462,6 +462,29 @@ class TestCompare:
         report = sf.compare(sf.ingest_census(CENSUS_TEXT), c_max=1)
         assert len(report.rows) == 2
 
+    def test_records_built_by_hand(self):
+        # a record built by hand may hold raw params: a unit pair, q out
+        # of range, burton rows; compare grades their canonical forms
+        table = [("unit", "{3;(n1,1,(0,0));(|);((1,2))}", 0, "normalized"),
+                 ("range", "{0;(n1,2,(0,0));(|);((5,-7),(3,2))}", 12,
+                  "burton"),
+                 ("X", "{0;(n3,2,(0,0));(|);((3,2))}", 10, "burton"),
+                 ("low", "{2;(o1,0,(1,0));(|);((3,4),(1,1))}", 5, "burton")]
+        records = [sf.CensusRecord(name, P(text), value, convention)
+                   for name, text, value, convention in table]
+        report = sf.compare(records)
+        assert [row.status for row in report.rows] == [
+            "sharp", "overestimate(by 3)", "sharp", "violation"]
+        for record, row in zip(records, report.rows):
+            assert type(row) is sf.ComparisonRow
+            assert type(row.normalized) is sf.NormalizedSeifertParams
+            assert row.normalized == sf.normalize(record.params)
+        ingested = sf.ingest_census("".join(
+            f"{name}\t{text}\t{value}\t{convention}\n"
+            for name, text, value, convention in table))
+        assert all(type(record) is sf.CensusRecord for record in ingested)
+        assert report == sf.compare(ingested)
+
     def test_duplicate_name_note(self):
         text = ("NxS1\t{0;(n1,1,(0,0));(0|);}\t0\tnormalized\n"
                 "NxS1\t{0;(o1,0,(1,0));(0|);}\t0\tnormalized\n")

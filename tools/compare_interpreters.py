@@ -6,7 +6,7 @@ interpreter and compare what they print.
 Each PYTHON is the path of an interpreter; the script runs those it is
 given and looks for no other.  Every command runs with ``PYTHONPATH``
 set to the ``src`` directory of this checkout, and some with one more
-variable, in a temporary directory that holds two small census tables.
+variable, in a temporary directory that holds three small census tables.
 For each command and interpreter the script prints one sha256 over the
 exit code, stdout and stderr, and it exits 1 if any command's digest
 differs between the interpreters.
@@ -43,6 +43,11 @@ RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tnormalized
 caf\u00e9\t{0;(n1,1,(0,0));(|);}\t1\tnormalized
 """
 
+# a name on line 3 whose byte 0xff is not UTF-8
+BAD_TABLE = (b"RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\n"
+             b"# a comment\n"
+             b"ov\xffer\t{0;(n1,2,(0,0));(|);((2,1))}\t1\tburton\n")
+
 # (environment beyond PYTHONPATH, arguments) of each command
 COMMANDS = [
     ({}, ("bound", "--json", "{-1;(o1,0,(0,0));(|);((2,1),(3,1),(11,2))}")),
@@ -68,6 +73,10 @@ COMMANDS = [
     ({}, ("census", "gen", "--cmax", "12", "--json")),
     ({}, ("census", "check", "--file", "table.tsv")),
     ({}, ("census", "check", "--file", "table.tsv", "--json")),
+    # --cmax grades only the rows recorded with complexity <= 1
+    ({}, ("census", "check", "--file", "table.tsv", "--cmax", "1")),
+    # exit 2: line 3: byte 0xff is not valid UTF-8
+    ({}, ("census", "check", "--file", "bad.tsv")),
     # a name that stdout cannot spell: one stderr line, stdout empty
     ({"PYTHONIOENCODING": "ascii"},
      ("census", "check", "--file", "ascii.tsv")),
@@ -101,6 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory() as cwd:
         Path(cwd, "table.tsv").write_text(TABLE, encoding="utf-8")
         Path(cwd, "ascii.tsv").write_text(ASCII_TABLE, encoding="utf-8")
+        Path(cwd, "bad.tsv").write_bytes(BAD_TABLE)
         for extra, command in COMMANDS:
             digests = [digest(python, extra, command, cwd)
                        for python in args.pythons]

@@ -69,10 +69,19 @@ External census tables are read from TSV, one record per line:
 
 with ``convention`` one of ``normalized`` or ``burton``; ``#`` comment
 lines and blank lines are skipped, and so is a byte-order mark at the
-start of the first line.  ``compare`` then grades the bound against each
-recorded complexity.  Records, rows and reports are immutable named
-tuples, like the records of ``core``.  One function reads a row,
-``_read_row``, which checks its fields and returns them with its
+start of the first line.  The census convention ``burton`` writes some
+one-pair-reflected sets with b = 0 where the canonical form has b = 1:
+for eps in {o2, n1, n3, n4},
+
+    {0; (eps,g,(0,0)); ( | ); (..., (p_r, p_r - q_r))}
+
+denotes the same space as {1; (eps,g,(0,0)); ( | ); (..., (p_r, q_r))}.
+``normalize`` makes exactly that conversion and leaves canonical rows as
+they are, so every row is read through it, whatever its convention; the
+column is checked and then not used.  ``compare`` then grades the bound
+against each recorded complexity.  Records, rows and reports are
+immutable named tuples, like the records of ``core``.  One function reads
+a row, ``_read_row``, which checks its fields and returns them with its
 canonical form, and one grades it, ``_grade``, which returns its bound
 and status.  ``ingest_census`` and ``compare`` wrap what they return in
 records and graded rows; ``compare`` normalizes each record's params
@@ -355,23 +364,20 @@ def _read_row(lineno: int, line: str) -> tuple | None:
     return name, params, complexity, convention
 
 
-def _records(source: Iterable[str] | str) -> Iterator[CensusRecord]:
-    # the records of a census table, each read as its line is
-    if isinstance(source, str):
-        # split where a file read in text mode would: at \n, \r\n and \r
-        source = io.StringIO(source, newline=None)
-    for lineno, line in enumerate(source, start=1):
-        row = _read_row(lineno, line)
-        if row is not None:
-            yield CensusRecord._make(row)
-
-
 def ingest_census(source: Iterable[str] | str) -> list[CensusRecord]:
     """Parse a census table.  Every row is normalized on the way in, which
     converts burton-convention rows, so ``CensusRecord.params`` is the
     canonical form under both conventions.  A byte-order mark (U+FEFF)
     at the start of the first line is skipped."""
-    return list(_records(source))
+    if isinstance(source, str):
+        # split where a file read in text mode would: at \n, \r\n and \r
+        source = io.StringIO(source, newline=None)
+    records = []
+    for lineno, line in enumerate(source, start=1):
+        row = _read_row(lineno, line)
+        if row is not None:
+            records.append(CensusRecord._make(row))
+    return records
 
 
 def _grade(P: NormalizedSeifertParams,
@@ -385,17 +391,6 @@ def _grade(P: NormalizedSeifertParams,
     if delta > 0:
         return bound, f"overestimate(by {delta})"
     return bound, "violation"
-
-
-def _graded(records: Iterable[CensusRecord],
-            c_max: int | None) -> Iterator[ComparisonRow]:
-    # the graded row of each record with complexity <= c_max (of every
-    # record when c_max is None), in the order of the records; a record
-    # built by hand may hold raw params, so each is normalized
-    for name, params, recorded, _ in records:
-        if c_max is None or recorded <= c_max:
-            P = normalize(params)
-            yield ComparisonRow(name, P, recorded, *_grade(P, recorded))
 
 
 # the summary key of each status; every other status is an overestimate
@@ -439,9 +434,14 @@ def compare(records: Iterable[CensusRecord],
     <= c_max (all records when c_max is None)."""
     tally = _Tally()
     rows, overestimates = [], []
-    for row in _graded(records, c_max):
+    for name, params, recorded, _ in records:
+        if c_max is not None and recorded > c_max:
+            continue
+        # a record built by hand may hold raw params
+        P = normalize(params)
+        row = ComparisonRow(name, P, recorded, *_grade(P, recorded))
         rows.append(row)
-        if tally.add(row.name, row.status, row.normalized) == "overestimates":
+        if tally.add(name, row.status, P) == "overestimates":
             overestimates.append(row)
     return ComparisonReport(
         rows=tuple(rows), sharp=tally.summary["sharp"],

@@ -1,7 +1,7 @@
 """Command-line front end.
 
-Commands: normalize, eq, bound, reverse, info, conjecture,
-census gen, census check.  Default output is human-readable text;
+Commands: normalize, eq, bound, info, conjecture, census gen,
+census check.  Default output is human-readable text;
 ``--json`` switches to a single JSON document whose field names mirror
 the library types.
 
@@ -41,7 +41,7 @@ from .core import (
     orbifold_summary,
     validate,
 )
-from .normal_form import normalize, reverse_orientation
+from .normal_form import normalize
 from .notation import ParseError, format_params, parse_params
 
 EXIT_OK = 0
@@ -142,15 +142,6 @@ def _cmd_bound(args) -> tuple[int, list[str]]:
     if note:
         lines.append(note)
     return _emit(args, doc, lines)
-
-
-def _cmd_reverse(args) -> tuple[int, list[str]]:
-    params = _parse_valid(args.params)
-    try:
-        result = format_params(reverse_orientation(params))
-    except ValueError as exc:
-        raise _CliError(EXIT_INVALID, str(exc)) from exc
-    return _emit(args, {"params": args.params, "reversed": result}, [result])
 
 
 def _cmd_info(args) -> tuple[int, list[str]]:
@@ -277,8 +268,6 @@ def _build_parser() -> _ArgumentParser:
         "left", "right")
     add("bound", _cmd_bound, "complexity upper bound with case tag",
         "params")
-    add("reverse", _cmd_reverse,
-        "canonical form of the orientation-reversed space", "params")
     add("info", _cmd_info,
         "orientability, closedness, boundary and base orbifold", "params")
     add("conjecture", _cmd_conjecture,

@@ -14,7 +14,9 @@ when they are connected by the moves below:
   the leftover b shift being absorbable).
 
 ``normalize`` reduces any valid raw set to the unique representative of
-its move class; ``equivalent`` compares two sets through it.
+its move class; ``equivalent`` compares two sets through it.  The class
+holds ``mirror`` images, so the canonical form forgets orientation: for
+eps in {o1, n2}, ``normalize(mirror(P)) == normalize(P)``.
 """
 from .core import (
     ORIENTABLE_AWAY_FROM_SE,
@@ -28,8 +30,7 @@ from .core import (
 
 __all__ = [
     "twist", "reflect_pair", "absorb_unit_pairs", "insert_unit_pair", "mirror",
-    "normalize", "equivalent", "reverse_orientation", "solid_torus_equivalent",
-    "from_burton",
+    "normalize", "equivalent", "solid_torus_equivalent",
 ]
 
 
@@ -169,14 +170,6 @@ def equivalent(a: SeifertParams, b: SeifertParams) -> bool:
     return normalize(a) == normalize(b)
 
 
-def reverse_orientation(params: SeifertParams) -> NormalizedSeifertParams:
-    """Canonical form of the space with reversed orientation (eps in
-    {o1, n2}).  The canonical form forgets orientation, so on normalized
-    input this is the identity; it exists to make the convention explicit.
-    """
-    return normalize(mirror(params))
-
-
 def solid_torus_equivalent(a: FibredSolidTorusType,
                            b: FibredSolidTorusType) -> bool:
     """Fibre-preserving homeomorphism of fibred solid tori: equal p and
@@ -184,18 +177,3 @@ def solid_torus_equivalent(a: FibredSolidTorusType,
     if a.p != b.p:
         return False
     return (a.r - b.r) % a.p == 0 or (a.r + b.r) % a.p == 0
-
-
-def from_burton(params: SeifertParams) -> NormalizedSeifertParams:
-    """Canonical form of a census-convention row.
-
-    The census tables write some one-pair-reflected sets with b = 0 where
-    the canonical form has b = 1: for eps in {o2, n1, n3, n4},
-
-        {0; (eps,g,(0,0)); ( | ); (..., (p_r, p_r - q_r))}
-
-    denotes the same space as {1; (eps,g,(0,0)); ( | ); (..., (p_r, q_r))}.
-    This is ``normalize`` under its census name: normalization performs
-    exactly that conversion and returns canonical rows unchanged.
-    """
-    return normalize(params)

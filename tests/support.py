@@ -221,6 +221,30 @@ def normal_form_violations(P: sf.SeifertParams) -> list[str]:
     return v
 
 
+def seifert_invariants(P: sf.SeifertParams) -> tuple:
+    """The classical Seifert invariants of an o1 or n2 set (Seifert 1933,
+    Acta Math. 60; Orlik 1972, Seifert Manifolds), read off its fields
+    with exact fractions and no library move.
+
+    A closed set with t = 0 has the Euler number e = -(b + sum q_j/p_j)
+    and the multiset of q_j/p_j mod 1 over the pairs with p_j > 1.  With
+    reflector circles (t > 0) or boundary, b is absorbed, and the
+    multiset alone is kept, with the other fields.  Both are taken up to
+    one global sign, which is the mirror image.  For these eps two sets
+    describe fibre-preserving homeomorphic spaces exactly when their
+    invariants are equal."""
+    b, eps, g, t, k, hplus, kminus, pairs = P
+    if eps.value not in ("o1", "n2"):
+        raise ValueError(f"no classical invariants for eps = {eps.value}")
+    closed = not (t or hplus or kminus)
+    e = -(b + sum(Fraction(q, p) for p, q in pairs)) if closed else 0
+    slopes = [Fraction(q, p) % 1 for p, q in pairs if p > 1]
+    e, slopes = min((sign * e, sorted(sign * x % 1 for x in slopes))
+                    for sign in (1, -1))
+    return (eps, g, t, k, tuple(sorted(hplus)), tuple(sorted(kminus)),
+            e, tuple(slopes))
+
+
 # The bordered spaces of complexity 0, by canonical spelling: the two
 # fibrations each of N x S1 and N x~ S1, the solid torus D2 x S1 and the
 # solid Klein bottle.  Every one-pair fibration of the solid torus is the

@@ -94,7 +94,7 @@ def test_c04_burton_identity_grid():
                         tuple(head) + ((p_r, p_r - q_r),))
                     reference = sf.SeifertParams(
                         1, eps, g, 0, 0, (), (), combo)
-                    assert sf.from_burton(burton) == sf.normalize(reference)
+                    assert sf.normalize(burton) == sf.normalize(reference)
                     checked += 1
     _report(4, f"{checked} census-convention grid points")
 
@@ -163,7 +163,7 @@ def test_c07_non_negativity_and_invariance():
         moved = random_move_word(rng, params, rng.randrange(1, 6))
         assert sf.upper_bound(moved) == result
         if params.epsilon in sf.ORIENTABLE_AWAY_FROM_SE:
-            assert sf.upper_bound(sf.reverse_orientation(params)) == result
+            assert sf.upper_bound(sf.mirror(params)) == result
     _report(7, f"census(10) = {len(census_entries)} entries plus 10000 "
                "random inputs")
 

@@ -193,7 +193,7 @@ class TestBoundInvariance:
             moved = random_move_word(rng, params, rng.randrange(1, 8))
             assert sf.upper_bound(moved) == result
             if params.epsilon in sf.ORIENTABLE_AWAY_FROM_SE:
-                assert sf.upper_bound(sf.reverse_orientation(params)) == result
+                assert sf.upper_bound(sf.mirror(params)) == result
 
 
 class TestSharperFamilyNote:

@@ -1,10 +1,12 @@
+from itertools import combinations_with_replacement
+from math import gcd
 from random import Random
 
 import pytest
 
 import seifert as sf
 from support import (normal_form_violations, plain, random_move_word,
-                     random_valid)
+                     random_valid, seifert_invariants)
 
 
 def P(text):
@@ -84,6 +86,19 @@ class TestMirror:
         with pytest.raises(ValueError):
             sf.mirror(P("{0;(n1,1,(0,0));(|);}"))
 
+    def test_canonical_form_forgets_orientation(self):
+        # a set and its mirror image have one canonical form, so the
+        # form of the orientation-reversed space is normalize's own
+        rng = Random(31)
+        inputs = [P("{3;(o1,0,(0,0));(|);}"),
+                  P("{0;(o1,0,(0,0));(0|);((5,2))}")]
+        while len(inputs) < 300:
+            params = random_valid(rng)
+            if params.epsilon in sf.ORIENTABLE_AWAY_FROM_SE:
+                inputs.append(params)
+        for params in inputs:
+            assert sf.normalize(sf.mirror(params)) == sf.normalize(params)
+
 
 class TestUnitPairs:
     def test_absorb(self):
@@ -140,6 +155,9 @@ class TestNormalize:
     def test_b_dies_against_a_two_pair(self):
         assert sf.normalize(P("{1;(o2,1,(0,0));(|);((2,1))}")) == \
             P("{0;(o2,1,(0,0));(|);((2,1))}")
+        # a burton row: reflecting (5,4) back sets b = 1, which then dies
+        assert sf.normalize(P("{0;(o2,1,(0,0));(|);((2,1),(5,4))}")) == \
+            P("{0;(o2,1,(0,0));(|);((2,1),(5,1))}")
 
     def test_b_absorbed_with_boundary(self):
         assert sf.normalize(P("{4;(o1,0,(0,0));(0|);((5,3))}")) == \
@@ -177,6 +195,53 @@ class TestNormalize:
             assert sf.normalize(moved) == seed
 
 
+# the pairs 0 < q < p <= 5, and the raw pairs with p <= 5 and |q| <= p:
+# unit pairs and q out of range among them
+CLOSED_PAIRS = [(p, q) for p in range(2, 6) for q in range(1, p)
+                if gcd(p, q) == 1]
+RAW_PAIRS = [(p, q) for p in range(1, 6) for q in range(-p, p + 1)
+             if gcd(p, q) == 1]
+
+
+class TestSeifertInvariants:
+    """normalize and the classical invariants, which share no code with
+    it, split each grid of o1 and n2 sets into the same classes: the
+    canonical form merges a set with its mirror image and with nothing
+    else."""
+
+    @staticmethod
+    def classes(sets) -> int:
+        found = {(sf.normalize(P), seifert_invariants(P)) for P in sets}
+        assert len({form for form, _ in found}) == len(found)
+        assert len({invariants for _, invariants in found}) == len(found)
+        return len(found)
+
+    @pytest.mark.parametrize("eps,g", [("o1", 0), ("o1", 1), ("n2", 1),
+                                       ("n2", 2)])
+    def test_closed(self, eps, g):
+        sets = [sf.SeifertParams(b, sf.Epsilon(eps), g, 0, 0, (), (), pairs)
+                for r in range(4)
+                for pairs in combinations_with_replacement(CLOSED_PAIRS, r)
+                for b in range(-4, 5)]
+        # 1,386 of the 1,980 sets have their mirror image (-b - r, p - q)
+        # in the grid, 6 of them as themselves: 1,980 - 1,380/2 classes
+        assert len(sets) == 1980
+        assert self.classes(sets) == 1290
+
+    @pytest.mark.parametrize("shape", [
+        "{0;(o1,0,(1,0));(|);}", "{0;(o1,0,(0,0));(0|);}",
+        "{0;(n2,1,(0,0));(0,1|);}", "{0;(n2,1,(2,0));(|);}",
+        "{0;(o1,1,(0,0));(2|);}"])
+    def test_reflector_circles_or_boundary(self, shape):
+        base = P(shape)
+        sets = [base._replace(b=b, pairs=pairs)
+                for pairs in combinations_with_replacement(RAW_PAIRS, 3)
+                for b in (-1, 2)]
+        # the 220 multisets of at most three of the 9 slopes q/p mod 1,
+        # 12 of them their own negatives: (220 + 12)/2 classes
+        assert self.classes(sets) == 116
+
+
 class TestEquivalent:
     def test_distinct_fibrations_of_one_manifold_differ(self):
         assert not sf.equivalent(P("{0;(n1,1,(0,0));(0|);}"),
@@ -204,31 +269,6 @@ class TestEquivalent:
                             assert sf.equivalent(x, z)
 
 
-class TestReverseOrientation:
-    def test_lens_space_is_fixed(self):
-        assert sf.reverse_orientation(P("{3;(o1,0,(0,0));(|);}")) == \
-            P("{3;(o1,0,(0,0));(|);}")
-
-    def test_involution_on_normal_forms(self):
-        rng = Random(31)
-        seen = 0
-        while seen < 100:
-            params = random_valid(rng)
-            if params.epsilon not in sf.ORIENTABLE_AWAY_FROM_SE:
-                continue
-            seen += 1
-            once = sf.reverse_orientation(params)
-            assert sf.reverse_orientation(once) == once
-
-    def test_bordered_keeps_leading_pair_representative(self):
-        assert sf.reverse_orientation(P("{0;(o1,0,(0,0));(0|);((5,2))}")) == \
-            P("{0;(o1,0,(0,0));(0|);((5,2))}")
-
-    def test_rejects_other_epsilon(self):
-        with pytest.raises(ValueError):
-            sf.reverse_orientation(P("{0;(n1,1,(0,0));(|);}"))
-
-
 class TestSolidTorus:
     def test_examples(self):
         T = sf.FibredSolidTorusType
@@ -250,17 +290,3 @@ class TestSolidTorus:
                         sf.FibredSolidTorusType(p, r1),
                         sf.FibredSolidTorusType(p, r2))
                     assert got == expected, (p, r1, r2)
-
-
-class TestFromBurton:
-    def test_conversion_rule(self):
-        assert sf.from_burton(P("{0;(n3,2,(0,0));(|);((3,2))}")) == \
-            P("{1;(n3,2,(0,0));(|);((3,1))}")
-
-    def test_already_normalized_row(self):
-        row = P("{1;(n1,1,(0,0));(|);}")
-        assert sf.from_burton(row) == row
-
-    def test_two_pair_then_b_collapses(self):
-        assert sf.from_burton(P("{0;(o2,1,(0,0));(|);((2,1),(5,4))}")) == \
-            P("{0;(o2,1,(0,0));(|);((2,1),(5,1))}")

@@ -90,13 +90,12 @@ class TestMirror:
         # a set and its mirror image have one canonical form, so the
         # form of the orientation-reversed space is normalize's own
         rng = Random(31)
-        inputs = [P("{3;(o1,0,(0,0));(|);}"),
-                  P("{0;(o1,0,(0,0));(0|);((5,2))}")]
-        while len(inputs) < 300:
+        seen = 0
+        while seen < 300:
             params = random_valid(rng)
-            if params.epsilon in sf.ORIENTABLE_AWAY_FROM_SE:
-                inputs.append(params)
-        for params in inputs:
+            if params.epsilon not in sf.ORIENTABLE_AWAY_FROM_SE:
+                continue
+            seen += 1
             assert sf.normalize(sf.mirror(params)) == sf.normalize(params)
 
 
@@ -155,9 +154,6 @@ class TestNormalize:
     def test_b_dies_against_a_two_pair(self):
         assert sf.normalize(P("{1;(o2,1,(0,0));(|);((2,1))}")) == \
             P("{0;(o2,1,(0,0));(|);((2,1))}")
-        # a burton row: reflecting (5,4) back sets b = 1, which then dies
-        assert sf.normalize(P("{0;(o2,1,(0,0));(|);((2,1),(5,4))}")) == \
-            P("{0;(o2,1,(0,0));(|);((2,1),(5,1))}")
 
     def test_b_absorbed_with_boundary(self):
         assert sf.normalize(P("{4;(o1,0,(0,0));(0|);((5,3))}")) == \
@@ -269,6 +265,30 @@ class TestEquivalent:
                             assert sf.equivalent(x, z)
 
 
+class TestReverseOrientation:
+    """The orientation-reversed space has the canonical form of the set
+    itself: normalize of its mirror image."""
+
+    def test_lens_space_is_fixed(self):
+        assert sf.normalize(sf.mirror(P("{3;(o1,0,(0,0));(|);}"))) == \
+            P("{3;(o1,0,(0,0));(|);}")
+
+    def test_involution_on_normal_forms(self):
+        rng = Random(31)
+        seen = 0
+        while seen < 100:
+            params = random_valid(rng)
+            if params.epsilon not in sf.ORIENTABLE_AWAY_FROM_SE:
+                continue
+            seen += 1
+            once = sf.normalize(sf.mirror(params))
+            assert sf.normalize(sf.mirror(once)) == once
+
+    def test_bordered_keeps_leading_pair_representative(self):
+        bordered = P("{0;(o1,0,(0,0));(0|);((5,2))}")
+        assert sf.normalize(sf.mirror(bordered)) == bordered
+
+
 class TestSolidTorus:
     def test_examples(self):
         T = sf.FibredSolidTorusType
@@ -290,3 +310,12 @@ class TestSolidTorus:
                         sf.FibredSolidTorusType(p, r1),
                         sf.FibredSolidTorusType(p, r2))
                     assert got == expected, (p, r1, r2)
+
+
+class TestFromBurton:
+    """normalize converts census rows written in the burton convention."""
+
+    def test_two_pair_then_b_collapses(self):
+        # reflecting (5,4) back sets b = 1, which then dies against (2,1)
+        assert sf.normalize(P("{0;(o2,1,(0,0));(|);((2,1),(5,4))}")) == \
+            P("{0;(o2,1,(0,0));(|);((2,1),(5,1))}")

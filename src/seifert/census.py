@@ -82,15 +82,16 @@ column is checked and then not used.  ``compare`` then grades the bound
 against each recorded complexity.  Records, rows and reports are
 immutable named tuples, like the records of ``core``.  One function reads
 a row, ``_read_row``, which checks its fields and returns them with its
-canonical form, and one grades it, ``_grade``, which returns its bound
-and status.  ``ingest_census`` and ``compare`` wrap what they return in
-records and graded rows; ``compare`` normalizes each record's params
-first, as a record built by hand may hold raw ones.  ``census check``
-reads, grades and spells each row of its file in one pass, after the
-UTF-8 check of its line, and builds no record or row: it keeps only the
-text of the report.  ``compare`` and ``census check`` fold the graded
-rows through one tally, ``_Tally``, which counts them by status and
-notes each name recorded with more than one fibration.
+canonical form, and one grades it, ``_grade``, which returns its bound,
+its status and the summary key that counts it.  ``ingest_census`` and
+``compare`` wrap what they return in records and graded rows;
+``compare`` normalizes each record's params first, as a record built by
+hand may hold raw ones.  ``census check`` reads, grades and spells each
+row of its file in one pass, after the UTF-8 check of its line, and
+builds no record or row: it keeps only the text of the report.
+``compare`` and ``census check`` fold the graded rows through one
+tally, ``_Tally``, which counts them by summary key and notes each name
+recorded with more than one fibration.
 
 The text of ``seifert census gen`` and ``seifert census check`` is
 spelled here too, by ``_census_lines`` and ``_check_report``, as chunks
@@ -381,28 +382,24 @@ def ingest_census(source: Iterable[str] | str) -> list[CensusRecord]:
 
 
 def _grade(P: NormalizedSeifertParams,
-           recorded: int) -> tuple[ComplexityBound, str]:
-    # the bound of the canonical form P and the status of a row that
-    # records complexity recorded for it
+           recorded: int) -> tuple[ComplexityBound, str, str]:
+    # the bound of the canonical form P, and the status and summary key
+    # of a row that records complexity recorded for it
     bound = upper_bound(P)
     delta = bound.value - recorded
     if delta == 0:
-        return bound, "sharp"
+        return bound, "sharp", "sharp"
     if delta > 0:
-        return bound, f"overestimate(by {delta})"
-    return bound, "violation"
-
-
-# the summary key of each status; every other status is an overestimate
-_SUMMARY_KEYS = {"sharp": "sharp", "violation": "violations"}
+        return bound, f"overestimate(by {delta})", "overestimates"
+    return bound, "violation", "violations"
 
 
 class _Tally:
-    """The graded rows of a table counted by status, and the distinct
-    fibrations recorded under each name, kept only for the names that
-    record more than one.  ``add`` takes a row as its name, status and
-    fibration.  A fibration is any value that is equal exactly when the
-    fibrations are: a canonical form, or its printed text."""
+    """The graded rows of a table counted by summary key, and the
+    distinct fibrations recorded under each name, kept only for the names
+    that record more than one.  ``add`` takes a row as its name, summary
+    key and fibration.  A fibration is any value that is equal exactly
+    when the fibrations are: a canonical form, or its printed text."""
 
     def __init__(self):
         # the counts, in the order the report prints them
@@ -411,16 +408,13 @@ class _Tally:
         self.first = {}     # name -> its first fibration
         self.repeated = {}  # name -> its fibrations, if two or more
 
-    def add(self, name: str, status: str, fibration) -> str:
-        """Count a graded row by its name, status and fibration, and
-        return its summary key."""
-        key = _SUMMARY_KEYS.get(status, "overestimates")
+    def add(self, name: str, key: str, fibration) -> None:
+        """Count a graded row by its name, summary key and fibration."""
         self.summary["rows"] += 1
         self.summary[key] += 1
         first = self.first.setdefault(name, fibration)
         if first != fibration:
             self.repeated.setdefault(name, {first}).add(fibration)
-        return key
 
     def notes(self) -> tuple[str, ...]:
         return tuple(
@@ -439,10 +433,11 @@ def compare(records: Iterable[CensusRecord],
             continue
         # a record built by hand may hold raw params
         P = normalize(params)
-        row = ComparisonRow(name, P, recorded, *_grade(P, recorded))
-        rows.append(row)
-        if tally.add(name, row.status, P) == "overestimates":
-            overestimates.append(row)
+        bound, status, key = _grade(P, recorded)
+        rows.append(ComparisonRow(name, P, recorded, bound, status))
+        tally.add(name, key, P)
+        if key == "overestimates":
+            overestimates.append(rows[-1])
     return ComparisonReport(
         rows=tuple(rows), sharp=tally.summary["sharp"],
         overestimates=tuple(overestimates),
@@ -468,13 +463,13 @@ def _entry_rows(c_max: int, heads: list[tuple], prefix: str,
 
 def _json_bound(bound: ComplexityBound, indent: str) -> str:
     # the fields of a bound as json.dumps(doc, indent=2) lays them out
-    # at the given indent inside doc
+    # at the given indent inside doc: each is a scalar, so the layout is
+    # the one-line object with the line break and indent in its item
+    # separator, less its braces
     from json import dumps
 
-    return (f'{indent}"value": {bound.value},\n'
-            f'{indent}"case_tag": {dumps(bound.case_tag.value)},\n'
-            f'{indent}"exact": {dumps(bound.exact)},\n'
-            f'{indent}"label": {dumps(bound.label)}')
+    separators = (",\n" + indent, ": ")
+    return indent + dumps(bound._asdict(), separators=separators)[1:-1]
 
 
 def _census_lines(c_max: int, as_json: bool) -> Iterator[str]:
@@ -514,12 +509,33 @@ def _check_report(path: str, c_max: int | None,
     # and spelled in one pass, as its line is read, and only the text of
     # the report is kept; it is returned after the last row, so a
     # malformed row leaves stdout empty.
-    if as_json:
-        from json import dumps
     rows: list[str] = []
     overestimated: list[str] = []  # the overestimate lines of the text
+    if as_json:
+        from json import dumps
+
+        def spell(name, form, recorded, bound, status, key):
+            # the row as json.dumps(doc, indent=2) lays it out in the
+            # rows of doc, with the text before it; a printed form and a
+            # status are ASCII without quotes or backslashes, so each is
+            # its own JSON string
+            return ((",\n" if rows else "[\n")
+                    + f'    {{\n      "name": {dumps(name)},\n'
+                    f'      "normalized": "{form}",\n'
+                    f'      "recorded": {recorded},\n'
+                    '      "bound": {\n'
+                    + _json_bound(bound, "        ")
+                    + f'\n      }},\n      "status": "{status}"\n    }}')
+    else:
+        def spell(name, form, recorded, bound, status, key):
+            # the row's line, and its line after the counts if it is
+            # an overestimate
+            if key == "overestimates":
+                overestimated.append(f"overestimate: {name} "
+                                     f"[{bound.case_tag.value}] {status}\n")
+            return (f"{name}\t{form}\trecorded={recorded}\t"
+                    f"bound={bound.value}\t{status}\n")
     tally = _Tally()
-    add = tally.add
     # errors="surrogateescape" turns each undecodable byte into a lone
     # surrogate; the first one is an error
     with open(path, encoding="utf-8", errors="surrogateescape") as handle:
@@ -536,32 +552,18 @@ def _check_report(path: str, c_max: int | None,
             name, P, recorded, _ = row
             if c_max is not None and recorded > c_max:
                 continue
-            bound, status = _grade(P, recorded)
+            bound, status, key = _grade(P, recorded)
             form = format_params(P)
-            if add(name, status, form) == "overestimates" and not as_json:
-                overestimated.append(f"overestimate: {name} "
-                                     f"[{bound.case_tag.value}] {status}\n")
-            if as_json:
-                # the row as json.dumps(doc, indent=2) lays it out in the
-                # rows of doc, with the text before it
-                rows.append(
-                    (",\n" if rows else "[\n")
-                    + f'    {{\n      "name": {dumps(name)},\n'
-                    f'      "normalized": {dumps(form)},\n'
-                    f'      "recorded": {recorded},\n'
-                    '      "bound": {\n'
-                    + _json_bound(bound, "        ")
-                    + f'\n      }},\n      "status": {dumps(status)}\n    }}')
-            else:
-                rows.append(f"{name}\t{form}\trecorded={recorded}\t"
-                            f"bound={bound.value}\t{status}\n")
+            tally.add(name, key, form)
+            rows.append(spell(name, form, recorded, bound, status, key))
     summary, notes = tally.summary, tally.notes()
     if as_json:
-        # the rest of doc, after its rows
-        rest = dumps({"summary": summary, "notes": list(notes)}, indent=2)
+        # doc as json.dumps(doc, indent=2) lays it out, with the rows
+        # spliced in at the [] of its empty "rows", which comes first
+        head, _, tail = dumps({"rows": [], "summary": summary,
+                               "notes": list(notes)}, indent=2).partition("[]")
         return summary["violations"], [
-            '{\n  "rows": ', *rows, "\n  ]" if rows else "[]",
-            "," + rest[1:] + "\n"]
+            head, *rows, "\n  ]" if rows else "[]", tail + "\n"]
     counts = "  ".join(f"{key}: {n}" for key, n in summary.items())
     return summary["violations"], [*rows, counts + "\n", *overestimated,
                                    *(f"note: {note}\n" for note in notes)]

@@ -53,11 +53,8 @@ EXIT_VIOLATION = 3
 # memory is the walk's: the 2^(c-5) pairs that can share a multiset,
 # spelled, and the index of the 2^(c-3) pairs with 2q <= p, as numbers.
 # The listing, its run time and the walk's memory each grow about 2x per
-# unit of budget: budget 20 lists 693,478 entries in about 1.5 s and
-# 24 MB, budget 22 2,970,747 in about 5 s and 53 MB, and budget 24
-# 12,716,832 in about 21 s and 170 MB (peak RSS, --out, text or --json,
-# on a 2-vCPU host).  A larger budget is refused rather than left to run
-# for minutes and then exhaust memory.
+# unit of budget (README, under census gen).  A larger budget is refused
+# rather than left to run for minutes and then exhaust memory.
 _GEN_BUDGET_LIMIT = 24
 
 

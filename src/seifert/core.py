@@ -86,7 +86,9 @@ class SeifertParams(namedtuple("SeifertParams",
 
     An immutable named tuple of the eight fields, so equality and
     hashing are by value: a ``NormalizedSeifertParams`` equals, and
-    hashes like, the plain set with the same fields.  ``hplus``,
+    hashes like, the plain set with the same fields.  ``epsilon`` is
+    stored as its ``Epsilon`` member, also when it is given as its word
+    ("n1"); a word outside the eight raises ``ValueError``.  ``hplus``,
     ``kminus``, ``pairs`` and each pair are stored as tuples whatever
     sequences they are given as.  m+, m- and r are the lengths of
     ``hplus``, ``kminus`` and ``pairs`` and are never stored separately.
@@ -107,6 +109,8 @@ class SeifertParams(namedtuple("SeifertParams",
     def __new__(cls, b: int, epsilon: Epsilon, g: int, t: int, k: int,
                 hplus: tuple[int, ...] = (), kminus: tuple[int, ...] = (),
                 pairs: tuple[tuple[int, int], ...] = ()):
+        if type(epsilon) is not Epsilon:
+            epsilon = Epsilon(epsilon)
         return tuple.__new__(cls, (b, epsilon, g, t, k, tuple(hplus),
                                    tuple(kminus), tuple(map(tuple, pairs))))
 

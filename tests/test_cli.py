@@ -548,14 +548,29 @@ class TestCensusCommands:
         assert (got, err) == (code, "")
         assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
 
-    @pytest.mark.parametrize("cmax,code", [(None, 3), (6, 0)],
-                             ids=["all", "cmax-6"])
-    def test_check_agrees_with_compare(self, capsys, tmp_path, cmax, code):
+    # a byte-order mark; lines ended by \r\n, \r, \n and none; form
+    # feed, \x1c and U+2028, which end a line for str.splitlines but not
+    # in a file read in text mode; a name recorded with two fibrations;
+    # a sharp row, an overestimate and a violation
+    LINE_ENDS_TABLE = (
+        "\ufeffform\x0cfeed\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\r\n"
+        "sep\x1c\u2028\t{0;(o1,0,(1,0));(|);}\t0\tnormalized\r"
+        "# a comment\r\n"
+        "X\t{0;(n3,2,(0,0));(|);((3,2))}\t8\tburton\n"
+        "sep\x1c\u2028\t{0;(n1,2,(0,0));(|);((2,1))}\t10\tnormalized")
+
+    @pytest.mark.parametrize("text,cmax,code", [
+        (None, None, 3), (None, 6, 0), (LINE_ENDS_TABLE, None, 3),
+    ], ids=["all", "cmax-6", "line-ends"])
+    def test_check_agrees_with_compare(self, capsys, tmp_path, text, cmax,
+                                       code):
         # the command folds the graded rows into its report itself; the
-        # report must be the one compare builds from the same table
-        text = self._check_table()
+        # report must be the one compare builds from the same table, and
+        # the command must split its file into lines as ingest_census
+        # splits a string (None: the pinned table)
+        text = text or self._check_table()
         table = tmp_path / "table.tsv"
-        table.write_text(text, encoding="utf-8")
+        table.write_bytes(text.encode("utf-8"))
         report = sf.compare(sf.ingest_census(text), cmax)
         argv = ["census", "check", "--file", str(table)]
         if cmax is not None:

@@ -1,12 +1,13 @@
+from collections import Counter
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, prod
 from random import Random
 
 import pytest
 
 import seifert as sf
 from support import (PAPER_PARAM_STRINGS, random_move_word, random_valid,
-                     reference_bound)
+                     reference_bound, seifert_invariants)
 
 
 def P(text):
@@ -87,6 +88,26 @@ class TestClosedBound:
     def test_lens_label_is_canonical(self, text):
         # L(7,5) = L(7,4) = L(7,3) = L(7,2): q' = +-q^(+-1) mod 7
         assert bound(text).label == "L(7,2)"
+
+    def test_lens_label_is_the_order_of_homology(self):
+        # |H1(L(p,q))| = p, and a closed o1 set over the sphere has
+        # |H1| = |e| * prod p_j (0 for S2 x S1), with e from exact
+        # fractions of its fields and no library move.  The grid: one
+        # raw pair (p, q), unit pairs among them, or none, and b in -5..5.
+        grid = [()] + [((p, q),) for p in range(1, 30)
+                       for q in range(-2 * p, 2 * p + 1) if gcd(p, q) == 1]
+        tags = Counter()
+        for pairs in grid:
+            for b in range(-5, 6):
+                params = sf.SeifertParams(b, sf.Epsilon.O1, 0, 0, 0, (), (),
+                                          pairs)
+                result = sf.upper_bound(params)
+                tags[result.case_tag] += 1
+                order = int(result.label[2:].split(",")[0])
+                e = seifert_invariants(params)[6]
+                assert order == abs(e) * prod(p for p, _ in pairs), params
+        assert tags == {sf.CaseTag.LENS_B1: 66, sf.CaseTag.LENS_BPQ: 9684,
+                        sf.CaseTag.LENS_QP: 2152}
 
     def test_projective_plane_product(self):
         result = bound("{0;(n1,1,(0,0));(|);}")

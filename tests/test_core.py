@@ -250,6 +250,26 @@ class TestSeifertParamsValue:
             assert P == sf.SeifertParams(*self.FIELDS)
             assert hash(P) == hash(N)
 
+    def test_epsilon_word_is_stored_as_its_member(self):
+        # every reader takes the eps facts off the member
+        word = sf.SeifertParams(0, "n1", 1, 0, 0)
+        member = sf.SeifertParams(0, sf.Epsilon.N1, 1, 0, 0)
+        assert word.epsilon is sf.Epsilon.N1
+        assert sf.validate(word) == sf.validate(member) == []
+        assert sf.validate(sf.SeifertParams(0, "n4", 2, 0, 0)) == [
+            "n4 requires g >= 3"]
+        assert sf.euler_char_base(word) == sf.euler_char_base(member) == 1
+        assert sf.normalize(word) == sf.normalize(member)
+        assert sf.upper_bound(word) == sf.upper_bound(member) == (
+            sf.ComplexityBound(1, sf.CaseTag.RP2_X_S1, label="RP2 x S1"))
+        assert sf.format_params(word) == sf.format_params(member) == (
+            "{0;(n1,1,(0,0));(|);}")
+        assert member._replace(epsilon="o2").epsilon is sf.Epsilon.O2
+
+    def test_unknown_epsilon_word_is_refused(self):
+        with pytest.raises(ValueError, match="'zz' is not a valid Epsilon"):
+            sf.SeifertParams(0, "zz", 1, 0, 0)
+
     def test_make_takes_all_eight_fields(self):
         # the constructor alone would fill five to seven from defaults
         for size in (5, 7, 9):

@@ -75,11 +75,15 @@ COMMANDS = [
     ({}, ("census", "check", "--file", "table.tsv", "--json")),
     # --cmax grades only the rows recorded with complexity <= 1
     ({}, ("census", "check", "--file", "table.tsv", "--cmax", "1")),
+    ({}, ("census", "check", "--json", "--cmax", "1", "--file", "table.tsv")),
     # exit 2: line 3: byte 0xff is not valid UTF-8
     ({}, ("census", "check", "--file", "bad.tsv")),
     # a name that stdout cannot spell: one stderr line, stdout empty
     ({"PYTHONIOENCODING": "ascii"},
      ("census", "check", "--file", "ascii.tsv")),
+    # JSON escapes the name, so the same table prints (exit 0)
+    ({"PYTHONIOENCODING": "ascii"},
+     ("census", "check", "--json", "--file", "ascii.tsv")),
 ]
 
 

@@ -55,13 +55,19 @@ its closing brace, followed by its pair list "((p,q),...)" and "}".
   takes the pairs in the text order of q as it builds them.  The lone
   pairs stand among the first pairs of the shapes of fixed part 0.
 
-``format_params`` is called once per head, and the walk spells each
-pair "(p,q)" as ``format_params`` does.  ``census gen`` prints the
-number of entries before the first one.  Each head carries its own
-count, found with no walk as ``_census_heads`` builds the head, by
-generating functions over the number of pairs of each cost, with
-Burnside's lemma for the mirror rule of o1 and n2; the total is their
-sum.
+``_census_heads`` gives one record per head, in text order: its text;
+its pairless canonical form P, built once, from which ``format_params``
+spells the head and which is the pairless entry; the bounds of its
+entries with pairs by fibre-term sum, one list per shape that its b = 0
+and b = 1 heads share; the bound of P, if it fits; its count of
+entries; and the lazy walk of its entries with pairs, created there and
+not started.  The walk spells each pair "(p,q)" as ``format_params``
+does.  ``enumerate_nonorientable_closed`` builds each entry with pairs
+from the first seven fields of P.  ``census gen`` prints the number of
+entries before the first one, the sum of the counts of the heads; each
+count is found with no walk, by generating functions over the number of
+pairs of each cost, with Burnside's lemma for the mirror rule of o1 and
+n2.
 
 External census tables are read from TSV, one record per line:
 
@@ -118,7 +124,7 @@ from .core import (
     validate,
 )
 from .normal_form import normalize
-from .notation import format_params, parse_params
+from .notation import _int_max_str_digits, format_params, parse_params
 
 _CONVENTIONS = ("normalized", "burton")
 
@@ -195,16 +201,6 @@ def _pair_index(c_max: int) -> list[tuple[int, array]]:
     return [(p, groups[p]) for p in sorted(groups, key=str)]
 
 
-def _first_pairs(index: list[tuple[int, array]]) -> Iterator[tuple]:
-    # (text, cost, pair) for the pairs of the index with 2q <= p, in text
-    # order: the first pairs of a shape of room c_max, the lone ones among
-    # them
-    for p, group in index:
-        for q, cost in zip(*[iter(group)] * 2):
-            if 2 * q <= p:
-                yield f"({p},{q})", cost, (p, q)
-
-
 def _extensions(fits: list[list[tuple]], room: int, mirror: bool,
                 items: Iterable[tuple], least: tuple[int, int],
                 prefix: str = "(", spent: int = 0,
@@ -241,27 +237,38 @@ def _multisets(kinds: dict[int, int], room: int) -> list[int]:
 
 
 def _census_heads(c_max: int) -> list[tuple]:
-    # (head, b, shape, room, bound of the pairless entry, None if it
-    # exceeds c_max, number of entries) for each head, in text order.
-    # The shapes: g, t, k <= c_max // 6 + 1, as each genus and each
-    # reflector circle adds at least 6 to the bound; the budget is tested
-    # before validate because it prunes most of the grid.
+    # (head, P, bounds, bare, count, entries) for each head, in text
+    # order: P is the head's pairless canonical form, bounds[s] the bound
+    # of its entries of fibre-term sum s, bare the bound of P, None if it
+    # exceeds c_max, count the number of its entries, and entries the
+    # lazy walk of its entries with pairs, (text, cost, pairs) in text
+    # order.  The shapes: g, t, k <= c_max // 6 + 1, as each genus and
+    # each reflector circle adds at least 6 to the bound; the budget is
+    # tested before validate because it prunes most of the grid.
     #
-    # The counts come from the number of pairs of each cost c, with no
-    # walk: 2^(c-3) with 0 < q < p, and with 2q <= p one of cost 3,
-    # (2,1), and 2^(c-4) of each cost c >= 4.  Under the mirror
-    # q -> p - q, which keeps the cost, an o1/n2 shape lists one multiset
-    # of each orbit, (all + fixed) / 2 by Burnside; a fixed multiset holds
-    # (2,1), the one fixed pair, and the other pairs in couples with their
-    # mirror images.
-    full = {c: 2 ** (c - 3) for c in range(3, c_max + 1)}
-    half = {c: 2 ** (c - 4) for c in range(4, c_max + 1)}
-    fixed = {3: 1, **{2 * c: n // 2 for c, n in full.items()
+    # The counts come from n_full and n_half, the number of pairs of each
+    # cost c, with no walk: 2^(c-3) with 0 < q < p, and with 2q <= p one
+    # of cost 3, (2,1), and 2^(c-4) of each cost c >= 4.  Under the
+    # mirror q -> p - q, which keeps the cost, an o1/n2 shape lists one
+    # multiset of each orbit, (all + fixed) / 2 by Burnside; a fixed
+    # multiset holds (2,1), the one fixed pair, and the other pairs in
+    # couples with their mirror images.
+    n_full = {c: 2 ** (c - 3) for c in range(3, c_max + 1)}
+    n_half = {c: 2 ** (c - 4) for c in range(4, c_max + 1)}
+    fixed = {3: 1, **{2 * c: n // 2 for c, n in n_full.items()
                        if 3 < c <= c_max // 2}}
     mirrored = [(n + n_fixed) // 2 for n, n_fixed in zip(
-        _multisets(full, c_max), _multisets(fixed, c_max))]
+        _multisets(n_full, c_max), _multisets(fixed, c_max))]
     # b = 1 takes no (2,1)
-    by_b = (_multisets({3: 1, **half}, c_max), _multisets(half, c_max))
+    by_b = (_multisets({3: 1, **n_half}, c_max), _multisets(n_half, c_max))
+    # full[r] and half[r]: the pairs of the pool that cost at most r, all
+    # of them and those with 2q <= p
+    index = _pair_index(c_max)
+    pool = [(f"({p},{q})", cost, (p, q)) for p, group in index
+            for q, cost in zip(*[iter(group)] * 2) if cost <= c_max - 3]
+    full = [[item for item in pool if item[1] <= r] for r in range(c_max - 2)]
+    half = [[item for item in fitting if 2 * item[2][1] <= item[2][0]]
+            for fitting in full]
     heads = []
     grid = range(c_max // 6 + 2)
     for eps, g, t, k in product(Epsilon, grid, grid, grid):
@@ -269,40 +276,33 @@ def _census_heads(c_max: int) -> list[tuple]:
         room = c_max - _closed_nonorientable_general(shape, 0).value
         if room < 0 or validate(shape) or is_orientable(shape):
             continue
+        bounds = [_closed_nonorientable_general(shape, s)
+                  for s in range(room + 1)]
+        mirror = eps in ORIENTABLE_AWAY_FROM_SE
         for b in (0,) if t else (0, 1):
+            P = tuple.__new__(NormalizedSeifertParams,
+                              (b, eps, g, t, k, (), (), ()))
             # the special fibrations are all pairless, and upper_bound
             # knows them
-            bound = upper_bound(NormalizedSeifertParams(b, eps, g, t, k))
-            fits = bound.value <= c_max
+            bare = upper_bound(P)
+            fits = bare.value <= c_max
             # the head lists its multisets but the empty one, and the
             # pairless entry if it fits
-            count = (mirrored if eps in ORIENTABLE_AWAY_FROM_SE
-                     else by_b[b])[room] - 1 + fits
-            heads.append((format_params(shape._replace(b=b))[:-1], b, shape,
-                          room, bound if fits else None, count))
+            count = (mirrored if mirror else by_b[b])[room] - 1 + fits
+            # the first pair has 2q <= p under either rule; at room c_max
+            # the lone pairs are among them, so they are spelled from the
+            # index as they are listed, by a generator made for each head
+            # as a generator runs once
+            first = half[room] if room < c_max else (
+                (f"({p},{q})", cost, (p, q)) for p, group in index
+                for q, cost in zip(*[iter(group)] * 2) if 2 * q <= p)
+            # b = 1 takes no (2,1), the least pair
+            entries = _extensions(full if mirror else half, room, mirror,
+                                  first, (2, 2) if b else (2, 1))
+            heads.append((format_params(P)[:-1], P, bounds,
+                          bare if fits else None, count, entries))
     heads.sort(key=itemgetter(0))
     return heads
-
-
-def _census_walk(c_max: int, heads: list[tuple]) -> Iterator[tuple]:
-    # (head, b, shape, bounds, pairless bound, entries) for each head,
-    # where entries is the lazy walk of the head's entries with pairs,
-    # (text, cost, pairs) in text order, and bounds[cost] their bound
-    index = _pair_index(c_max)
-    pool = [(f"({p},{q})", cost, (p, q)) for p, group in index
-            for q, cost in zip(*[iter(group)] * 2) if cost <= c_max - 3]
-    full = [[item for item in pool if item[1] <= r] for r in range(c_max - 2)]
-    half = [[item for item in fits if 2 * item[2][1] <= item[2][0]]
-            for fits in full]
-    for head, b, shape, room, bare, _ in heads:
-        mirror = shape.epsilon in ORIENTABLE_AWAY_FROM_SE
-        # the first pair has 2q <= p under either rule, and b = 1 takes no
-        # (2,1), the least pair
-        first = _first_pairs(index) if room == c_max else half[room]
-        entries = _extensions(full if mirror else half, room, mirror, first,
-                              (2, 2) if b else (2, 1))
-        yield head, b, shape, [_closed_nonorientable_general(shape, s)
-                               for s in range(room + 1)], bare, entries
 
 
 def enumerate_nonorientable_closed(
@@ -310,12 +310,11 @@ def enumerate_nonorientable_closed(
     """Every canonical closed non-orientable parameter set with bound
     <= c_max, with its bound, ordered by the printed normal form."""
     entries = []
-    for _, b, shape, bounds, bare, walk in _census_walk(
-            c_max, _census_heads(c_max)):
-        entries += [(NormalizedSeifertParams(b, *shape[1:5], (), (), pairs),
+    for _, P, bounds, bare, _, walk in _census_heads(c_max):
+        entries += [(tuple.__new__(NormalizedSeifertParams, (*P[:7], pairs)),
                      bounds[cost]) for _, cost, pairs in walk]
         if bare:
-            entries.append((NormalizedSeifertParams(b, *shape[1:5]), bare))
+            entries.append((P, bare))
     return entries
 
 
@@ -345,16 +344,17 @@ def _read_row(lineno: int, line: str) -> tuple | None:
         params = normalize(parse_params(params_text))
     except ValueError as exc:
         raise CensusFormatError(lineno, str(exc)) from exc
-    try:
-        # an optional "-" and ASCII digits only: int() would also read
-        # "+", padding, "_" separators and the digits of other scripts
-        digits = complexity_text.removeprefix("-")
-        if not (digits.isascii() and digits.isdigit()):
-            raise ValueError
-        complexity = int(complexity_text)
-    except ValueError:  # also more digits than int() reads
+    # an optional "-" and ASCII digits only: int() would also read "+",
+    # padding, "_" separators and the digits of other scripts
+    digits = complexity_text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
         raise CensusFormatError(
-            lineno, f"complexity is not an integer: {complexity_text!r}") from None
+            lineno, f"complexity is not an integer: {complexity_text!r}")
+    limit = _int_max_str_digits()  # 0: int() reads any length
+    if limit and len(digits) > limit:
+        raise CensusFormatError(lineno, f"complexity has {len(digits)} digits, "
+                                f"more than the {limit} that int() reads")
+    complexity = int(complexity_text)
     if complexity < 0:
         raise CensusFormatError(lineno, "complexity must be non-negative")
     if convention not in _CONVENTIONS:
@@ -447,12 +447,12 @@ def compare(records: Iterable[CensusRecord],
 # The text of the census commands; cli parses the arguments, opens
 # --out and writes these chunks.
 
-def _entry_rows(c_max: int, heads: list[tuple], prefix: str,
+def _entry_rows(heads: list[tuple], prefix: str,
                columns: Callable[[ComplexityBound], str]) -> Iterator[str]:
     # prefix + printed form + columns(bound) for each census entry, one
     # at a time as the walk lists them, in the text order of the forms.
     # The columns are spelled once per bound of a head.
-    for head, _, _, bounds, bare, entries in _census_walk(c_max, heads):
+    for head, _, bounds, bare, _, entries in heads:
         start = prefix + head
         tails = [")}" + columns(bound) for bound in bounds]
         for text, cost, _ in entries:
@@ -477,7 +477,7 @@ def _census_lines(c_max: int, as_json: bool) -> Iterator[str]:
     # the count, which comes first, is the sum of the counts that the
     # heads carry
     heads = _census_heads(c_max)
-    count = sum(head[-1] for head in heads)
+    count = sum(head[4] for head in heads)
     if as_json:
         # one JSON text per entry, in json.dumps(doc, indent=2) layout;
         # a printed form is ASCII without quotes or backslashes, so it
@@ -485,7 +485,7 @@ def _census_lines(c_max: int, as_json: bool) -> Iterator[str]:
         # parts it from the one before, which the first drops; there is
         # always a first, the two twisted bundles of bound 0.
         rows = _entry_rows(
-            c_max, heads, ',\n    {\n      "params": "',
+            heads, ',\n    {\n      "params": "',
             lambda bound: f'",\n{_json_bound(bound, "      ")}\n    }}')
         yield (f'{{\n  "cmax": {c_max},\n  "count": {count},'
                f'\n  "entries": [\n' + next(rows)[2:])
@@ -496,7 +496,7 @@ def _census_lines(c_max: int, as_json: bool) -> Iterator[str]:
            f"({count} entries)\n")
     yield "# params\tvalue\tcase_tag\texact\tlabel\n"
     yield from _entry_rows(
-        c_max, heads, "",
+        heads, "",
         lambda bound: (f"\t{bound.value}\t{bound.case_tag.value}\t"
                        f"{'yes' if bound.exact else 'no'}\t"
                        f"{bound.label or '-'}\n"))

@@ -42,7 +42,8 @@ from .core import (
     validate,
 )
 from .normal_form import normalize
-from .notation import ParseError, format_params, parse_params
+from .notation import (ParseError, _int_max_str_digits, format_params,
+                       parse_params)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -218,10 +219,11 @@ def _budget(text: str) -> int:
     int() alone would also read a sign, padding, "_" and the digits of
     other scripts."""
     if text.isascii() and text.isdigit():
-        try:
-            return int(text)
-        except ValueError:  # more digits than int() reads
-            pass
+        limit = _int_max_str_digits()  # 0: int() reads any length
+        if limit and len(text) > limit:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= 0 of at most {limit} digits")
+        return int(text)
     raise argparse.ArgumentTypeError(
         f"expected an integer >= 0, got {text!r}")
 

@@ -139,15 +139,25 @@ class SeifertParams(namedtuple("SeifertParams",
 class NormalizedSeifertParams(SeifertParams):
     """A parameter set in canonical form; the type is the proof.
 
-    ``normal_form.normalize`` builds these and returns one unchanged.
-    The census walk also builds them, directly from the canonical-form
-    rules of closed non-orientable shapes; the tests check every census
-    entry P with ``normalize(plain(P)) == P``.  The moves, ``_replace``
-    and ``_make`` all return a plain ``SeifertParams``.  Equality and
-    hashing ignore the class.
+    The constructor takes the fields of any valid set and returns
+    ``normal_form.normalize`` of it: a canonical set comes back with the
+    same fields, a raw one comes back canonical, and an invalid one
+    raises ``ValueError``.  ``normalize`` returns one of these unchanged.
+    ``normalize`` and the census walk skip the constructor and build
+    through ``tuple.__new__``; the census walk builds each entry directly
+    from the canonical-form rules of closed non-orientable shapes, and
+    the tests check every census entry P with ``normalize(plain(P)) ==
+    P``.  The moves, ``_replace`` and ``_make`` all return a plain
+    ``SeifertParams``.  Equality and hashing ignore the class.
     """
 
     __slots__ = ()
+
+    def __new__(cls, *fields, **named):
+        # normal_form imports this module, so it is imported here
+        from .normal_form import normalize
+
+        return normalize(SeifertParams(*fields, **named))
 
 
 class FibredSolidTorusType(namedtuple("FibredSolidTorusType", "p r")):

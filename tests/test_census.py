@@ -12,11 +12,11 @@ from random import Random
 import pytest
 
 import seifert as sf
-from seifert.census import _census_heads, _census_walk, _extensions
+from seifert.census import _census_heads, _extensions
 from seifert.cli import main
 from support import (census_brute_force, census_by_normalizing,
-                     census_counts_by_shape, cf_coefficients, plain,
-                     random_move_word)
+                     census_counts_by_shape, cf_coefficients, int_digit_limit,
+                     plain, random_move_word)
 
 
 def P(text):
@@ -25,9 +25,8 @@ def P(text):
 
 def census_tally(c_max):
     """(eps, g, t, k, b, value) of each entry the census walk lists."""
-    heads = _census_heads(c_max)
-    for _, b, shape, bounds, bare, entries in _census_walk(c_max, heads):
-        key = (shape.epsilon, shape.g, shape.t, shape.k, b)
+    for _, P, bounds, bare, _, entries in _census_heads(c_max):
+        key = (P.epsilon, P.g, P.t, P.k, P.b)
         for _, cost, _ in entries:
             yield (*key, bounds[cost].value)
         if bare:
@@ -97,7 +96,7 @@ class TestPairMultisets:
                 sf.format_params(sf.SeifertParams(0, sf.Epsilon.N1, 1, 0, 0,
                                                   pairs=ms)).removeprefix(
                     "{0;(n1,1,(0,0));(|);") for ms in walked]
-            # the walk yields no empty multiset: _census_walk gives the
+            # the walk yields no empty multiset: _census_heads gives the
             # pairless entry of a head apart
             expected = {ms for size in range(1, budget // 3 + 1)
                         for ms in combinations_with_replacement(pairs, size)
@@ -237,9 +236,9 @@ class TestEnumeration:
         # the entries with pairs, and the pairless one when it fits
         for c_max in range(17):
             heads = _census_heads(c_max)
-            listed = [sum(1 for _ in entries) + bool(bare) for
-                      _, _, _, _, bare, entries in _census_walk(c_max, heads)]
-            assert listed == [head[-1] for head in heads], c_max
+            listed = [sum(1 for _ in entries) + bool(bare)
+                      for _, _, _, bare, _, entries in heads]
+            assert listed == [count for _, _, _, _, count, _ in heads], c_max
 
     def test_matches_normalize_and_fold_reference(self):
         for c in range(13):
@@ -417,6 +416,22 @@ class TestIngest:
         ("a\t{0;(n1,1,(0,0));(|);}\t+1\tnormalized", "not an integer"),
         ("a\t{0;(n1,1,(0,0));(|);}\t 1\tnormalized", "not an integer"),
         ("a\t{0;(n1,1,(0,0));(|);}\t1 \tnormalized", "not an integer"),
+        # an integer, but more digits than int() reads
+        pytest.param(
+            "a\t{0;(n1,1,(0,0));(|);}\t%s\tnormalized"
+            % ("9" * (int_digit_limit() + 1)),
+            f"complexity has {int_digit_limit() + 1} digits, "
+            f"more than the {int_digit_limit()} that int() reads",
+            id="beyond-digit-limit",
+            marks=pytest.mark.skipif(not int_digit_limit(),
+                                     reason="int() reads any length")),
+        # the limit does not count the sign
+        pytest.param(
+            "a\t{0;(n1,1,(0,0));(|);}\t-%s\tnormalized"
+            % ("9" * int_digit_limit()), "non-negative",
+            id="negative-at-digit-limit",
+            marks=pytest.mark.skipif(not int_digit_limit(),
+                                     reason="int() reads any length")),
         ("a\t{0;(n1,1,(0,0));(|);}\t-1\tnormalized", "non-negative"),
         ("a\t{0;(n1,1,(0,0));(|);}\t1\tregina", "unknown convention"),
         ("a\t{0;(n1,1,(0,0));(|)}\t1\tnormalized", "parse error"),

@@ -726,6 +726,18 @@ class TestHostileInput:
         assert "line 2: parse error at position 1" in err
         assert "Traceback" not in err
 
+    @pytest.mark.skipif(not int_digit_limit(), reason="int() reads any length")
+    @pytest.mark.parametrize("command", [("census", "gen"),
+                                         ("census", "check", "--file", "t")])
+    def test_budget_beyond_the_digit_limit_names_it(self, capsys, command):
+        # an integer, so not refused as something else, and its digits
+        # are not echoed
+        limit = int_digit_limit()
+        code, out, err = run(capsys, *command, "--cmax", "9" * (limit + 1))
+        assert code == 1 and out == ""
+        assert err.endswith("argument --cmax: expected an integer >= 0 of "
+                            f"at most {limit} digits\n")
+
     def test_undecodable_byte_names_its_line(self, capsys, tmp_path):
         table = tmp_path / "table.tsv"
         table.write_bytes(b"# caf\xc3\xa9 is fine\n"
@@ -738,10 +750,10 @@ class TestHostileInput:
 
     def test_unwritable_out_is_one(self, capsys, tmp_path, monkeypatch):
         # reported before the census is enumerated
-        def walk_nothing(c_max, heads):
+        def walk_nothing(c_max):
             raise AssertionError("census walked before opening --out")
 
-        monkeypatch.setattr("seifert.census._census_walk", walk_nothing)
+        monkeypatch.setattr("seifert.census._census_heads", walk_nothing)
         target = tmp_path / "absent-dir" / "census.tsv"
         code, out, err = run(capsys, "census", "gen", "--cmax", "14",
                              "--out", str(target))
@@ -752,10 +764,10 @@ class TestHostileInput:
     def test_empty_out_is_one(self, capsys, monkeypatch):
         # an empty path names no file, as census check --file '' does,
         # and is not taken for stdout
-        def walk_nothing(c_max, heads):
+        def walk_nothing(c_max):
             raise AssertionError("census walked before opening --out")
 
-        monkeypatch.setattr("seifert.census._census_walk", walk_nothing)
+        monkeypatch.setattr("seifert.census._census_heads", walk_nothing)
         code, out, err = run(capsys, "census", "gen", "--cmax", "3",
                              "--out", "")
         assert code == 1 and out == ""
@@ -783,10 +795,10 @@ class TestHostileInput:
     def test_absurd_gen_budget_is_refused(self, capsys, tmp_path,
                                           monkeypatch):
         # refused before the walk starts and before --out is opened
-        def walk_nothing(c_max, heads):
+        def walk_nothing(c_max):
             raise AssertionError("census walked at an absurd budget")
 
-        monkeypatch.setattr("seifert.census._census_walk", walk_nothing)
+        monkeypatch.setattr("seifert.census._census_heads", walk_nothing)
         target = tmp_path / "census.tsv"
         for budget in ("25", "1000000000000"):
             code, out, err = run(capsys, "census", "gen", "--cmax", budget,

@@ -234,13 +234,17 @@ class TestOrbifoldSummary:
 
 
 class TestSeifertParamsValue:
+    # raw fields, not even valid: eps n3 with k + m- > 0
     FIELDS = (1, sf.Epsilon.N3, 2, 1, 1, (0,), (2,), ((3, 1), (5, 2)))
+    # canonical fields, which normalize returns unchanged
+    NORMAL = (0, sf.Epsilon.N, 2, 1, 1, (0,), (2,), ((3, 1), (5, 2)))
 
     def test_sequences_are_stored_as_tuples(self):
-        N = sf.NormalizedSeifertParams(*self.FIELDS)
+        N = sf.NormalizedSeifertParams(*self.NORMAL)
         for P in (sf.SeifertParams(1, sf.Epsilon.N3, 2, 1, 1, [0], [2],
                                    [[3, 1], [5, 2]]),
-                  N._replace(hplus=[0], pairs=[[3, 1], [5, 2]]),
+                  N._replace(b=1, epsilon=sf.Epsilon.N3, hplus=[0],
+                             pairs=[[3, 1], [5, 2]]),
                   sf.SeifertParams._make(
                       [1, sf.Epsilon.N3, 2, 1, 1, [0], [2], [[3, 1], [5, 2]]])):
             assert type(P) is sf.SeifertParams
@@ -248,7 +252,8 @@ class TestSeifertParamsValue:
             assert type(P.pairs) is tuple
             assert all(type(pq) is tuple for pq in P.pairs)
             assert P == sf.SeifertParams(*self.FIELDS)
-            assert hash(P) == hash(N)
+            assert hash(P) == hash(sf.SeifertParams(*self.FIELDS))
+        assert hash(N) == hash(sf.SeifertParams(*self.NORMAL))
 
     def test_epsilon_word_is_stored_as_its_member(self):
         # every reader takes the eps facts off the member
@@ -277,15 +282,15 @@ class TestSeifertParamsValue:
                 sf.SeifertParams._make(self.FIELDS[:5] + (None,) * (size - 5))
 
     def test_normalized_equals_and_hashes_like_plain(self):
-        P = sf.SeifertParams(*self.FIELDS)
-        N = sf.NormalizedSeifertParams(*self.FIELDS)
+        P = sf.SeifertParams(*self.NORMAL)
+        N = sf.NormalizedSeifertParams(*self.NORMAL)
         assert P == N and N == P
         assert hash(P) == hash(N)
         assert len({P, N}) == 1
 
     def test_fields_cannot_be_set(self):
         for P in (sf.SeifertParams(*self.FIELDS),
-                  sf.NormalizedSeifertParams(*self.FIELDS)):
+                  sf.NormalizedSeifertParams(*self.NORMAL)):
             with pytest.raises(AttributeError):
                 P.b = 0
             with pytest.raises(AttributeError):
@@ -293,21 +298,43 @@ class TestSeifertParamsValue:
 
     def test_instances_carry_no_dict(self):
         # census check keeps one record and one row per input line
-        records = [cls(*self.FIELDS)
-                   for cls in (sf.SeifertParams, sf.NormalizedSeifertParams)]
+        records = [sf.SeifertParams(*self.FIELDS),
+                   sf.NormalizedSeifertParams(*self.NORMAL)]
         for record in records + _record_instances():
             assert not hasattr(record, "__dict__"), type(record).__name__
 
     def test_pickle_keeps_the_class(self):
-        for cls in (sf.SeifertParams, sf.NormalizedSeifertParams):
-            P = pickle.loads(pickle.dumps(cls(*self.FIELDS)))
+        for cls, fields in ((sf.SeifertParams, self.FIELDS),
+                            (sf.NormalizedSeifertParams, self.NORMAL)):
+            P = pickle.loads(pickle.dumps(cls(*fields)))
             assert type(P) is cls
-            assert P == cls(*self.FIELDS)
+            assert P == cls(*fields)
 
     def test_repr_is_pinned(self):
-        assert repr(sf.NormalizedSeifertParams(*self.FIELDS)) == (
-            "NormalizedSeifertParams(b=1, epsilon=<Epsilon.N3: 'n3'>, g=2, "
+        assert repr(sf.NormalizedSeifertParams(*self.NORMAL)) == (
+            "NormalizedSeifertParams(b=0, epsilon=<Epsilon.N: 'n'>, g=2, "
             "t=1, k=1, hplus=(0,), kminus=(2,), pairs=((3, 1), (5, 2)))")
+
+    def test_normalized_constructor_normalizes(self):
+        # a canonical set comes back with its fields, a raw one canonical,
+        # and an invalid one is refused
+        N = sf.NormalizedSeifertParams(*self.NORMAL)
+        assert type(N) is sf.NormalizedSeifertParams
+        assert tuple(N) == self.NORMAL
+        with pytest.raises(ValueError, match="epsilon is o or n exactly"):
+            sf.NormalizedSeifertParams(*self.FIELDS)
+        for fields in [(5, "n1", 1, 0, 0), (0, "o1", 0, 0, 0, (), (), ((7, 10),)),
+                       (0, "n1", 1, 0, 0, (), (), ((5, -7), (1, 2), (3, 2)))]:
+            raw = sf.SeifertParams(*fields)
+            N = sf.NormalizedSeifertParams(*fields)
+            assert type(N) is sf.NormalizedSeifertParams
+            assert N == sf.normalize(raw) and sf.normalize(N) is N
+            assert sf.equivalent(N, raw)
+            assert sf.upper_bound(N) == sf.upper_bound(raw)
+            assert sf.format_params(N) == sf.format_params(sf.normalize(raw))
+        assert sf.NormalizedSeifertParams(5, "n1", 1, 0, 0) == (
+            sf.NormalizedSeifertParams(b=1, epsilon=sf.Epsilon.N1, g=1, t=0,
+                                       k=0))
 
 
 def _record_instances():

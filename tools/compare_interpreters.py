@@ -71,6 +71,12 @@ COMMANDS = [
     ({}, ("bound", "{0;(n4,2,(0,0));(|);}")),
     ({}, ("census", "gen", "--cmax", "12")),
     ({}, ("census", "gen", "--cmax", "12", "--json")),
+    # below budget 3 the per-room pair lists are empty, and every head
+    # takes its first pairs from the index
+    ({}, ("census", "gen", "--cmax", "2")),
+    # the first budget with chi^orb < 0 entries; heads of room 7 and of
+    # room 1 take their first pairs from both sources
+    ({}, ("census", "gen", "--cmax", "7", "--json")),
     ({}, ("census", "check", "--file", "table.tsv")),
     ({}, ("census", "check", "--file", "table.tsv", "--json")),
     # --cmax grades only the rows recorded with complexity <= 1

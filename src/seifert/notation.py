@@ -71,11 +71,18 @@ def _matchers():
 
 
 class ParseError(ValueError):
-    """Syntax error, carrying the 0-based offset of the offending input."""
+    """Syntax error, carrying the 0-based offset of the offending input
+    and the message that follows it."""
 
     def __init__(self, pos: int, message: str):
         super().__init__(f"parse error at position {pos}: {message}")
         self.pos = pos
+        self.message = message
+
+    def __reduce__(self):
+        # pickle and copy rebuild it through __init__, which takes the
+        # offset and the message, not args
+        return type(self), (self.pos, self.message), self.__dict__
 
 
 class _Scanner:

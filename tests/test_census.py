@@ -1,8 +1,10 @@
 import gc
+import pickle
 import tracemalloc
 from bisect import bisect_left
 from collections import Counter
 from contextlib import redirect_stdout
+from copy import copy, deepcopy
 from fractions import Fraction
 from io import StringIO
 from itertools import combinations_with_replacement
@@ -442,6 +444,20 @@ class TestIngest:
             sf.ingest_census("# header\n" + line + "\n")
         assert "line 2" in str(err.value)
         assert fragment in str(err.value)
+
+
+    def test_format_error_survives_pickle_and_copy(self):
+        # a census check worker sends its errors as data, but any caller
+        # may move the exception across processes
+        with pytest.raises(sf.CensusFormatError) as err:
+            sf.ingest_census("# header\na\t{0;(n1,1,(0,0));(|)}\t1\tburton\n")
+        for original in (err.value, sf.CensusFormatError(4, "y")):
+            twins = [pickle.loads(pickle.dumps(original, protocol))
+                     for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for twin in [*twins, copy(original), deepcopy(original)]:
+                assert type(twin) is sf.CensusFormatError
+                assert (str(twin), twin.args, twin.lineno) == (
+                    str(original), original.args, original.lineno)
 
 
 class TestCompare:

@@ -2,9 +2,11 @@ import contextlib
 import gc
 import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 from pathlib import Path
 from random import Random
@@ -673,6 +675,215 @@ class TestCensusCommands:
         code, out, _ = run(capsys, "census", "check", "--file", str(table))
         assert code == 0
         assert f"sharp: {len(entries)}" in out
+
+
+class TestCheckInRanges:
+    """census check grades a large regular file in byte ranges, in forked
+    workers; every split must give the report of one range, byte for
+    byte, and the errors of one range, at the same line."""
+
+    FLAGS = [(), ("--json",), ("--cmax", "5"), ("--json", "--cmax", "5")]
+
+    @staticmethod
+    def _table() -> bytes:
+        # 2,000 rows behind a byte-order mark, their lines ended by \r\n,
+        # a lone \r or \n in turn; comments and blank lines; sharp rows,
+        # overestimates and a violation; "thrice" recorded with three
+        # fibrations, one near the start and two, which a range of their
+        # own notes too, near the end; a name that starts with U+FEFF,
+        # which only line 1 drops
+        entries = sf.enumerate_nonorientable_closed(8)
+        lines = ["\ufeff# a table graded in ranges"]
+        for i in range(2000):
+            P, bound = entries[i % len(entries)]
+            name = {3: "thrice", 1000: "\ufeffmid", 1989: "thrice",
+                    1990: "thrice"}.get(i, f"r{i}")
+            recorded = bound.value - (i % 7 == 3) * (i % 3 + 1)
+            if i == 1500:
+                recorded = bound.value + 1
+            raw = sf.insert_unit_pair(P, i % 5 - 2 or 3)
+            lines.append(f"{name}\t{sf.format_params(raw)}\t"
+                         f"{max(recorded, 0)}\t"
+                         f"{('normalized', 'burton')[i % 2]}")
+            if i % 97 == 5:
+                lines += ["  # a comment", ""]
+        return "".join(line + ("\r\n", "\r", "\n")[i % 3]
+                       for i, line in enumerate(lines)).encode("utf-8")
+
+    @staticmethod
+    def _workers(monkeypatch, range_bytes: int | None, cpus: int = 3):
+        # grade every table in ranges of about range_bytes on cpus
+        # workers, or in one range if range_bytes is None; the list
+        # returned gets the (workers, ranges) that _ranges picks per call
+        import seifert.census as census
+
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(cpus)), raising=False)
+        monkeypatch.setattr(census, "_PARALLEL_BYTES",
+                            1 if range_bytes else 1 << 60)
+        monkeypatch.setattr(census, "_RANGE_BYTES", range_bytes or 1)
+        chosen = []
+        ranges = census._ranges
+
+        def spied(path):
+            workers, spans = ranges(path)
+            chosen.append((workers, len(spans)))
+            return workers, spans
+
+        monkeypatch.setattr(census, "_ranges", spied)
+        return chosen
+
+    def _answers(self, capsys, monkeypatch, table, range_bytes, flags):
+        chosen = self._workers(monkeypatch, range_bytes)
+        answers = [run(capsys, "census", "check", "--file", str(table), *f)
+                   for f in flags]
+        monkeypatch.undo()
+        assert multiprocessing.active_children() == []
+        return answers, chosen
+
+    @pytest.mark.parametrize("range_bytes", [5, 300, 40_000])
+    def test_every_split_gives_the_same_report(self, capsys, monkeypatch,
+                                              tmp_path, range_bytes):
+        table = tmp_path / "table.tsv"
+        table.write_bytes(self._table())
+        whole, chosen = self._answers(capsys, monkeypatch, table, None,
+                                      self.FLAGS)
+        assert chosen == [(1, 1)] * len(self.FLAGS)
+        assert [code for code, _, _ in whole] == [3, 3, 0, 0]
+        assert "note: records named 'thrice' normalize to 3" in whole[0][1]
+        assert "\noverestimate: r10 [" in whole[0][1]
+        assert "\n\ufeffmid\t" in whole[0][1]
+        split, chosen = self._answers(capsys, monkeypatch, table,
+                                      range_bytes, self.FLAGS)
+        assert all(workers == 3 and spans >= 3 for workers, spans in chosen)
+        assert split == whole
+
+    @pytest.mark.parametrize("bad,fragment", [
+        (b"r1700\tonly three\tfields", "expected 4 tab-separated fields"),
+        (b"r1700\t{0;(n1,1,(0,0));(|);}\t1\tnorm\xffalized",
+         "byte 0xff is not valid UTF-8"),
+    ], ids=["malformed", "bad-utf8"])
+    def test_an_error_in_a_late_range_names_its_line(
+            self, capsys, monkeypatch, tmp_path, bad, fragment):
+        lines = self._table().split(b"\n")
+        lines[-40] = bad
+        table = tmp_path / "table.tsv"
+        table.write_bytes(b"\n".join(lines))
+        flags = [(), ("--json",)]
+        whole, _ = self._answers(capsys, monkeypatch, table, None, flags)
+        for range_bytes in (5, 300, 40_000):
+            split, chosen = self._answers(capsys, monkeypatch, table,
+                                          range_bytes, flags)
+            assert all(workers == 3 for workers, _ in chosen)
+            assert split == whole
+        code, out, err = whole[0]
+        assert (code, out) == (2, "")
+        assert fragment in err and f"line {whole_line(table, bad)}:" in err
+
+    def test_the_first_malformed_row_wins(self, capsys, monkeypatch,
+                                          tmp_path):
+        # the two malformed rows lie in different ranges, whichever of
+        # them is graded first
+        rows = "".join(f"r{i}\t{{0;(n1,1,(0,0));(|);((3,1))}}\t4\tburton\n"
+                       for i in range(200))
+        table = tmp_path / "table.tsv"
+        table.write_text(rows + "a\t{0;(n1,1,(0,0));(|)}\t1\tnormalized\n"
+                         + rows + "late\tx\n")
+        for range_bytes in (5, 300, 4_000):
+            answers, chosen = self._answers(capsys, monkeypatch, table,
+                                            range_bytes, [()])
+            assert chosen[0][0] == 3
+            assert answers == [(2, "", f"{table}: line 201: parse error at "
+                                "position 19: expected ';', found '}'\n")]
+
+    def test_a_pipe_is_graded_in_one_process(self, capsys, monkeypatch,
+                                             tmp_path):
+        if not hasattr(os, "mkfifo"):
+            pytest.skip("no named pipes")
+        table = tmp_path / "table.tsv"
+        table.write_bytes(self._table())
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        chosen = self._workers(monkeypatch, 300)
+        answers = []
+        for flags in self.FLAGS:
+            # a writer of its own process, as a thread here would keep
+            # this process from forking anyway
+            writer = subprocess.Popen(
+                [sys.executable, "-c", "import sys; open(sys.argv[2], 'wb')"
+                 ".write(open(sys.argv[1], 'rb').read())",
+                 str(table), str(fifo)])
+            try:
+                answers.append(run(capsys, "census", "check", "--file",
+                                   str(fifo), *flags))
+            finally:
+                assert writer.wait(timeout=60) == 0
+        assert chosen == [(1, 1)] * len(self.FLAGS)
+        monkeypatch.undo()
+        split, _ = self._answers(capsys, monkeypatch, table, 300, self.FLAGS)
+        assert answers == split
+
+    def test_one_cpu_grades_in_one_process(self, capsys, monkeypatch,
+                                           tmp_path):
+        table = tmp_path / "table.tsv"
+        table.write_bytes(self._table())
+        chosen = self._workers(monkeypatch, 300, cpus=1)
+        answers = [run(capsys, "census", "check", "--file", str(table), *f)
+                   for f in self.FLAGS]
+        assert chosen == [(1, 1)] * len(self.FLAGS)
+        monkeypatch.undo()
+        whole, _ = self._answers(capsys, monkeypatch, table, None,
+                                 self.FLAGS)
+        assert answers == whole
+
+    def test_a_process_with_threads_grades_in_one_process(
+            self, capsys, monkeypatch, tmp_path):
+        # a forked worker would hold none of the other threads, nor the
+        # locks they hold
+        table = tmp_path / "table.tsv"
+        table.write_bytes(self._table())
+        chosen = self._workers(monkeypatch, 300)
+        release = threading.Event()
+        waiter = threading.Thread(target=release.wait, args=(60,))
+        waiter.start()
+        try:
+            answer = run(capsys, "census", "check", "--file", str(table))
+        finally:
+            release.set()
+            waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        assert chosen == [(1, 1)]
+        monkeypatch.undo()
+        whole, _ = self._answers(capsys, monkeypatch, table, None, [()])
+        assert [answer] == whole
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "{0;(n1,1,(0,0));(|);}"],
+        ["census", "check", "--file", "table.tsv"],
+        ["census", "check", "--file", "table.tsv", "--json"],
+    ], ids=["one-shot", "small-table", "small-table-json"])
+    def test_small_work_loads_no_multiprocessing(self, tmp_path, argv):
+        # as test_one_shot_loads_no_census: python -i lists the modules
+        # of a real python -m process after main has run
+        (tmp_path / "table.tsv").write_bytes(self._table())
+        src = Path(__file__).resolve().parent.parent / "src"
+        proc = subprocess.run(
+            [sys.executable, "-i", "-m", "seifert", *argv],
+            input="import sys\nprint('multiprocessing' in sys.modules)\n",
+            capture_output=True, text=True, timeout=60, cwd=tmp_path,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        lines = proc.stdout.splitlines()
+        assert len(lines) > 1 and lines[-1] == "False"
+
+
+def whole_line(table: Path, text: bytes) -> int:
+    """The line of the file table, counted as a file read in text mode
+    counts them, that holds text."""
+    with open(table, encoding="utf-8", errors="surrogateescape") as handle:
+        for lineno, line in enumerate(handle, 1):
+            if text.decode("utf-8", "surrogateescape") in line:
+                return lineno
+    raise AssertionError(f"{text!r} not in {table}")
 
 
 class TestInProcessCalls:

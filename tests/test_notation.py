@@ -1,5 +1,7 @@
 import hashlib
+import pickle
 import sys
+from copy import copy, deepcopy
 from random import Random
 
 import pytest
@@ -64,6 +66,18 @@ class TestParse:
             sf.parse_params(text)
         assert str(err.value) == f"parse error at position {pos}: {message}"
         assert err.value.pos == pos
+
+    def test_parse_error_survives_pickle_and_copy(self):
+        # a worker process would send its exceptions pickled
+        with pytest.raises(sf.ParseError) as err:
+            sf.parse_params("{0;(N1,1,(0,0));(|);}")
+        for original in (err.value, sf.ParseError(3, "x")):
+            twins = [pickle.loads(pickle.dumps(original, protocol))
+                     for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+            for twin in [*twins, copy(original), deepcopy(original)]:
+                assert type(twin) is sf.ParseError
+                assert (str(twin), twin.args, twin.pos) == (
+                    str(original), original.args, original.pos)
 
     @pytest.mark.skipif(not int_digit_limit(), reason="int() reads any length")
     @pytest.mark.parametrize("template,pos", [

@@ -6,7 +6,8 @@ interpreter and compare what they print.
 Each PYTHON is the path of an interpreter; the script runs those it is
 given and looks for no other.  Every command runs with ``PYTHONPATH``
 set to the ``src`` directory of this checkout, and some with one more
-variable, in a temporary directory that holds three small census tables.
+variable, in a temporary directory that holds three small census tables
+and one large enough to be graded in forked workers.
 For each command and interpreter the script prints one sha256 over the
 exit code, stdout and stderr, and it exits 1 if any command's digest
 differs between the interpreters.
@@ -48,6 +49,13 @@ BAD_TABLE = (b"RP2xS1\t{0;(n1,1,(0,0));(|);}\t1\tnormalized\n"
              b"# a comment\n"
              b"ov\xffer\t{0;(n1,2,(0,0));(|);((2,1))}\t1\tburton\n")
 
+# the data rows of TABLE 2,000 times, each copy's names numbered: 12,000
+# rows, 0.58 MB, above the size (0.5 MB) from which census check grades a
+# regular file in byte ranges, in forked workers
+BIG_TABLE = "".join(row.replace("\t", f"{i}\t", 1) + "\n"
+                    for i in range(2000)
+                    for row in TABLE.splitlines() if not row.startswith("#"))
+
 # (environment beyond PYTHONPATH, arguments) of each command
 COMMANDS = [
     ({}, ("bound", "--json", "{-1;(o1,0,(0,0));(|);((2,1),(3,1),(11,2))}")),
@@ -84,6 +92,9 @@ COMMANDS = [
     ({}, ("census", "check", "--json", "--cmax", "1", "--file", "table.tsv")),
     # exit 2: line 3: byte 0xff is not valid UTF-8
     ({}, ("census", "check", "--file", "bad.tsv")),
+    # graded in ranges on every usable CPU, merged in file order
+    ({}, ("census", "check", "--file", "big.tsv")),
+    ({}, ("census", "check", "--file", "big.tsv", "--json")),
     # a name that stdout cannot spell: one stderr line, stdout empty
     ({"PYTHONIOENCODING": "ascii"},
      ("census", "check", "--file", "ascii.tsv")),
@@ -121,6 +132,7 @@ def main(argv: list[str] | None = None) -> int:
         Path(cwd, "table.tsv").write_text(TABLE, encoding="utf-8")
         Path(cwd, "ascii.tsv").write_text(ASCII_TABLE, encoding="utf-8")
         Path(cwd, "bad.tsv").write_bytes(BAD_TABLE)
+        Path(cwd, "big.tsv").write_text(BIG_TABLE, encoding="utf-8")
         for extra, command in COMMANDS:
             digests = [digest(python, extra, command, cwd)
                        for python in args.pythons]
